@@ -66,11 +66,14 @@ def run_structure_checks(g: TraceGraph, sample_injectivity: bool = True) -> list
         sym_ok, sym_detail = True, ""
     except Exception as ex:  # reported, not raised
         sym_ok, sym_detail = False, str(ex)
+    # a reduced graph pairs only the edges whose partners survived
     lvl_ok = all(
-        g.edges[g.edge_partner[e]].level == n - g.edges[e].level for e in g.edges
+        g.edges[p].level == n - g.edges[e].level for e, p in g.edge_partner.items()
     )
+    unpaired = sum(1 for e in g.edges if e not in g.edge_partner)
     out.append(CheckResult("t+pi symmetry with label reversal", sym_ok, sym_detail))
-    out.append(CheckResult("symmetry maps level k to n-k", lvl_ok))
+    out.append(CheckResult("symmetry maps level k to n-k", lvl_ok,
+                           f"{unpaired} of {len(g.edges)} edges unpaired"))
 
     local_ok, local_detail = _local_structure(g)
     out.append(CheckResult("vertex local structure (levels, middle circle)", local_ok, local_detail))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .tracegraph import TraceGraph
 
@@ -132,159 +132,43 @@ def right_attractors(s: LevelSubgraph) -> list[RightAttractor]:
     return attractors
 
 
-def simple_cycles(
-    s: LevelSubgraph, budget: int = CYCLE_BUDGET
-) -> list[list[tuple[int, int]]]:
-    """All simple cycles of the level subgraph as directed edge lists
-    (edge id, +1 upward / -1 downward), each listed once.
-
-    Closed loops and parallel-edge pairs are special-cased; longer cycles
-    come from a rooted DFS over the underlying multigraph.  A naive DFS is
-    tried first; if its node count explodes (sparse-cycle graphs can have
-    huge dead path spaces) the search restarts with root-reachability
-    pruning, which is output-bounded.  The budget caps listed cycles.
-    """
-    g = s.graph
-    out: list[list[tuple[int, int]]] = []
-
-    def emit(cyc) -> None:
-        out.append(cyc)
-        if len(out) > budget:
-            raise CycleBudgetError(f"cycle enumeration exceeded budget {budget}")
-
-    for e in s.loops:
-        emit([(e, 1)])
-
-    by_ends: dict[frozenset, list[int]] = {}
-    for e in s.edges:
-        te, he = g.edges[e].tail, g.edges[e].head
-        if te is None:
-            continue
-        if te == he:
-            emit([(e, 1)])
-        else:
-            by_ends.setdefault(frozenset((te, he)), []).append(e)
-    for ends, group in sorted(by_ends.items(), key=lambda kv: kv[1]):
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                ea, eb = group[a], group[b]
-                if g.edges[ea].tail == g.edges[eb].tail:
-                    emit([(ea, 1), (eb, -1)])
-                else:
-                    emit([(ea, 1), (eb, 1)])
-
-    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in s.vertices}
-    for e in s.edges:
-        te, he = g.edges[e].tail, g.edges[e].head
-        if te is None or te == he:
-            continue
-        adj[te].append((e, he, 1))
-        adj[he].append((e, te, -1))
-
-    base = len(out)
-    try:
-        _dfs_cycles(adj, emit, prune=False)
-    except _NodeCapExceeded:
-        del out[base:]
-        _dfs_cycles(adj, emit, prune=True)
-    return out
-
-
 class _NodeCapExceeded(Exception):
     pass
 
 
 _NODE_CAP = 2_000_000
 
-
-def _dfs_cycles(adj, emit, prune: bool) -> None:
-    """Vertex-simple cycles of length >= 3, each rooted at its smallest
-    vertex and emitted in one direction (first edge id < closing edge id)."""
-    nodes = 0
-
-    def reachable(src: int, root: int, visited: set) -> bool:
-        if src == root:
-            return True
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            for _, other, _ in adj[v]:
-                if other == root:
-                    return True
-                if other not in seen and other not in visited:
-                    seen.add(other)
-                    stack.append(other)
-        return False
-
-    path: list[tuple[int, int]] = []
-
-    def dfs(root, v, first_edge, visited):
-        nonlocal nodes
-        nodes += 1
-        if not prune and nodes > _NODE_CAP:
-            raise _NodeCapExceeded
-        depth = len(path)
-        for e, other, d in adj[v]:
-            if e == first_edge and depth == 1:
-                continue
-            if other == root:
-                if depth >= 2 and first_edge < e:
-                    emit(path + [(e, d)])
-                continue
-            if other in visited or other < root:
-                continue
-            if prune and not reachable(other, root, visited):
-                continue
-            visited.add(other)
-            path.append((e, d))
-            dfs(root, other, first_edge, visited)
-            path.pop()
-            visited.remove(other)
-
-    for root in sorted(adj):
-        for e, other, d in adj[root]:
-            if other <= root:
-                continue
-            path.clear()
-            path.append((e, d))
-            dfs(root, other, e, {root, other})
+# a class (u, w) packs into the integer u * _PACK + w; sums of packed classes
+# are packed sums, and the sign of a packed class is that of (u, w) in
+# lexicographic order, while |w| < _PACK / 2
+_PACK = 1 << 32
 
 
-def oriented_class(cls: HomologyClass) -> HomologyClass:
-    """Orient so the vertical winding is non-negative (then the horizontal)."""
-    u, w = cls
-    if u < 0 or (u == 0 and w < 0):
-        return (-u, -w)
-    return (u, w)
+def _pack(cls: HomologyClass) -> int:
+    return cls[0] * _PACK + cls[1]
 
 
-def cycle_classes(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> set[HomologyClass]:
-    """Homology classes of all simple cycles, oriented canonically; the class
-    (0,0) marks trivial cycles (they bound discs in the torus)."""
-    out = set()
-    for cyc in simple_cycles(s, budget):
-        out.add(oriented_class(_edge_class(s.graph, cyc)))
-    return out
+def _unpack(p: int) -> HomologyClass:
+    u = (p + _PACK // 2) // _PACK
+    return (u, p - u * _PACK)
 
 
-def fundamental_classes(s: LevelSubgraph) -> list[HomologyClass]:
-    """Classes of the fundamental cycles of a spanning forest, plus closed
-    loops and self loops.  Fundamental cycles are simple and span the whole
-    class lattice of the subgraph."""
+def _lift_offsets(s: LevelSubgraph) -> dict[int, HomologyClass]:
+    """Integer lift offsets of the edges that leave a spanning forest of the
+    level subgraph (closed loops and self loops included).
+
+    The forest's (z, t) potentials fix a lift of every vertex to the Z^2
+    cover; an edge's offset is the class of its lift from its tail's lift
+    to its head's.  Forest edges have offset (0, 0) and are left out, the
+    others' offsets are the classes of their fundamental cycles, and the
+    class of any cycle is the signed sum of its edges' offsets."""
     g = s.graph
-    classes: list[HomologyClass] = []
     adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in s.vertices}
-    plain = []
     for e in s.edges:
         te, he = g.edges[e].tail, g.edges[e].head
-        if te is None or te == he:
-            classes.append(_edge_class(g, [(e, 1)]))
-            continue
-        plain.append(e)
-        adj[te].append((e, he, 1))
-        adj[he].append((e, te, -1))
-    # spanning forest with (z, t) potentials from each component root
+        if te is not None and te != he:
+            adj[te].append((e, he, 1))
+            adj[he].append((e, te, -1))
     pot: dict[int, tuple[float, float]] = {}
     in_tree: set[int] = set()
     for start in s.vertices:
@@ -301,19 +185,157 @@ def fundamental_classes(s: LevelSubgraph) -> list[HomologyClass]:
                 pot[other] = (pot[v][0] + d * edge.dz, pot[v][1] + d * edge.dt)
                 in_tree.add(e)
                 stack.append(other)
-    for e in plain:
+    offsets: dict[int, HomologyClass] = {}
+    for e in s.edges:
         if e in in_tree:
             continue
         edge = g.edges[e]
-        u = pot[edge.tail][0] + edge.dz - pot[edge.head][0]
-        w = -(pot[edge.tail][1] + edge.dt - pot[edge.head][1]) / TWO_PI
+        z, t = edge.dz, edge.dt
+        if edge.tail is not None:
+            z += pot[edge.tail][0] - pot[edge.head][0]
+            t += pot[edge.tail][1] - pot[edge.head][1]
+        u, w = z, -t / TWO_PI
         ru, rw = round(u), round(w)
-        assert abs(u - ru) < 1e-6 and abs(w - rw) < 1e-6
-        classes.append((ru, rw))
-    return classes
+        assert abs(u - ru) < 1e-6 and abs(w - rw) < 1e-6, "cycle class is not integral"
+        offsets[e] = (ru, rw)
+    return offsets
 
 
-def is_degenerate(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> bool:
+def _cycle_search(s: LevelSubgraph, budget: int, listing: bool):
+    """The simple-cycle search behind `simple_cycles` and `cycle_classes`.
+
+    Returns every simple cycle as a directed edge list (listing) or the set
+    of their packed oriented classes.  Each cycle is found once and counted
+    against `budget`.  A path carries its class as one integer, the signed
+    sum of its edges' packed lift offsets; the edge path is kept (one list,
+    pushed and popped in place) only when listing.
+
+    Closed loops and self loops are cycles on their own.  Every other cycle
+    comes from a DFS rooted at its smallest vertex that leaves the root
+    through one edge and closes only through an edge of larger id, so each
+    cycle is walked in one direction and a root's last edge starts no
+    walk.  A naive DFS is tried first; if its node count explodes
+    (sparse-cycle graphs can have huge dead path spaces) the search
+    restarts and prunes every branch that can no longer close, which is
+    output-bounded."""
+    g = s.graph
+    offsets = _lift_offsets(s)
+    assert sum(abs(w) for _, w in offsets.values()) < _PACK // 2
+    packed = {e: _pack(c) for e, c in offsets.items()}
+    found: list | set = [] if listing else set()
+    path: list[tuple[int, int]] = []
+    count = 0
+
+    def emit(cls: int, e: int, d: int) -> None:
+        nonlocal count
+        count += 1
+        if count > budget:
+            raise CycleBudgetError(f"cycle enumeration exceeded budget {budget}")
+        if listing:
+            found.append(path + [(e, d)])
+        else:
+            found.add(abs(cls))
+
+    adj: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in s.vertices}
+    for e in s.edges:
+        te, he = g.edges[e].tail, g.edges[e].head
+        step = packed.get(e, 0)
+        if te is None or te == he:
+            emit(step, e, 1)
+        else:
+            adj[te].append((e, he, 1, step))
+            adj[he].append((e, te, -1, -step))
+
+    def walk(prune: bool) -> None:
+        nodes = 0
+        root = first = 0
+        visited: set[int] = set()
+
+        def closes(src: int) -> bool:
+            """Whether src reaches the root through unvisited vertices and
+            an edge of larger id than the first."""
+            seen = {src}
+            stack = [src]
+            while stack:
+                for e, other, _, _ in adj[stack.pop()]:
+                    if other == root:
+                        if e > first:
+                            return True
+                    elif other > root and other not in seen and other not in visited:
+                        seen.add(other)
+                        stack.append(other)
+            return False
+
+        def dfs(v: int, cls: int) -> None:
+            nonlocal nodes
+            nodes += 1
+            if nodes > _NODE_CAP and not prune:
+                raise _NodeCapExceeded
+            for e, other, d, step in adj[v]:
+                if other == root:
+                    if e > first:
+                        emit(cls + step, e, d)
+                elif other > root and other not in visited and (not prune or closes(other)):
+                    visited.add(other)
+                    if listing:
+                        path.append((e, d))
+                    dfs(other, cls + step)
+                    if listing:
+                        path.pop()
+                    visited.remove(other)
+
+        for root in sorted(adj):
+            starts = [a for a in adj[root] if a[1] > root]
+            for first, other, d, step in starts[:-1]:
+                visited = {root, other}
+                if listing:
+                    path[:] = [(first, d)]
+                dfs(other, step)
+
+    base, base_count = len(found), count
+    try:
+        walk(prune=False)
+    except _NodeCapExceeded:
+        # the restart finds every cycle again; a class set may keep what
+        # the naive pass found, a listing may not
+        count = base_count
+        if listing:
+            del found[base:]
+        walk(prune=True)
+    return found
+
+
+def oriented_class(cls: HomologyClass) -> HomologyClass:
+    """Orient so the vertical winding is non-negative (then the horizontal)."""
+    u, w = cls
+    if u < 0 or (u == 0 and w < 0):
+        return (-u, -w)
+    return (u, w)
+
+
+def simple_cycles(
+    s: LevelSubgraph, budget: int = CYCLE_BUDGET
+) -> list[list[tuple[int, int]]]:
+    """All simple cycles of the level subgraph as directed edge lists
+    (edge id, +1 upward / -1 downward), each listed once; more than
+    `budget` cycles raise CycleBudgetError."""
+    return _cycle_search(s, budget, listing=True)
+
+
+def cycle_classes(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> set[HomologyClass]:
+    """Homology classes of all simple cycles, oriented canonically; the class
+    (0,0) marks trivial cycles (they bound discs in the torus)."""
+    return {_unpack(p) for p in _cycle_search(s, budget, listing=False)}
+
+
+def fundamental_classes(s: LevelSubgraph) -> list[HomologyClass]:
+    """Classes of the fundamental cycles of a spanning forest, plus closed
+    loops and self loops.  Fundamental cycles are simple and span the whole
+    class lattice of the subgraph."""
+    return list(_lift_offsets(s).values())
+
+
+def is_degenerate(s: LevelSubgraph) -> bool:
     """True when all non-trivial cycle classes are pairwise dependent.
 
     Decided from fundamental classes: they are simple cycles themselves and
@@ -390,7 +412,7 @@ def maximal_profile(g: TraceGraph, budget: int = CYCLE_BUDGET) -> dict[int, Opti
     out = {}
     for k in range(1, g.n):
         s = level_subgraph(g, k)
-        if is_degenerate(s, budget):
+        if is_degenerate(s):
             out[k] = None
             continue
         attractors = right_attractors(s)

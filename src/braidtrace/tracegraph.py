@@ -459,16 +459,6 @@ def _assign_markings(graph: TraceGraph) -> None:
             )
 
 
-def marking_under_shift(graph: TraceGraph, circle: TraceCircle, extra: int) -> Marking:
-    """The circle's marking when the cyclic choice of its mixed family is
-    rotated by `extra`; same-component markings are unaffected."""
-    i, j = circle.comp_pair
-    if i == j:
-        return circle.marking
-    g = math.gcd(graph.cycles.lengths[i - 1], graph.cycles.lengths[j - 1])
-    return Marking(i, j, (circle.marking.k - 1 + extra) % g + 1)
-
-
 # ---------------------------------------------------------------------------
 # Symmetry involution as a checked operation
 

@@ -233,6 +233,23 @@ class TestReduce:
             assert law.ok, seed
 
     @pytest.mark.parametrize(
+        "text", ["s1^-1 s2^-1 s1 s2^-1 s1", "s2 s1 s2^-1 s1 s2^-1", "s1 s2 s1 s2 s1^-1 s2"]
+    )
+    def test_level_law_over_a_partial_pairing(self, text):
+        # reduction keeps different vertices on the two t+pi sides, so
+        # some surviving edges have no partner; the law is read over the
+        # paired ones and the unpaired ones are counted
+        r = eq.reduce(build_trace_graph(parse_word(text, 3)))
+        unpaired = sum(1 for e in r.edges if e not in r.edge_partner)
+        assert unpaired > 0
+        (law,) = [
+            c for c in run_structure_checks(r, sample_injectivity=False)
+            if c.name == "symmetry maps level k to n-k"
+        ]
+        assert law.ok
+        assert law.detail == f"{unpaired} of {len(r.edges)} edges unpaired"
+
+    @pytest.mark.parametrize(
         "a,b,n",
         [
             ("s2 s1 s2 s1^-1 s2^-1 s1^-1", "", 3),        # the trivial braid

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from helpers import brute_maximal_class, johnson_cycle_classes, subset_cycle_classes
 
 from braidtrace import levels as lv
+from braidtrace.equivalence import reduce
 from braidtrace.tracegraph import build_trace_graph
-from braidtrace.words import iter_reduced_words, parse_word
+from braidtrace.words import iter_reduced_words, parse_word, random_word
 
 # frozen witnesses from scripts/scan_nondegenerate.py
 NONDEG_WITNESS = ("s1 s2", 4, 2)       # word, strands, level with two independent classes
@@ -114,6 +117,50 @@ class TestCycleClasses:
                 assert mine == johnson_cycle_classes(s)
                 if len(s.edges) <= 16:
                     assert mine == subset_cycle_classes(s)
+
+
+class TestCycleSearchDifferential:
+    # reduced graphs of random words from the isotopy benchmark's cells
+    CELLS = [(3, l) for l in range(6, 11)] + [(n, l) for n in (4, 5, 6) for l in (4, 5)]
+
+    @pytest.fixture(scope="class")
+    def reduced_levels(self):
+        rng = random.Random(808)
+        out = []
+        for _ in range(4):
+            for n, l in self.CELLS:
+                g = reduce(build_trace_graph(random_word(n, l, rng)))
+                out += [lv.level_subgraph(g, k) for k in range(1, n)]
+        return out
+
+    def test_classes_match_johnson(self, reduced_levels):
+        for s in reduced_levels:
+            assert lv.cycle_classes(s) == johnson_cycle_classes(s)
+
+    def test_maximal_class_matches_brute_force(self, reduced_levels):
+        nondeg = [s for s in reduced_levels if not lv.is_degenerate(s)]
+        assert nondeg
+        for s in nondeg:
+            att = sorted({a.homology for a in lv.right_attractors(s)})[0]
+            assert lv.maximal_class(s, att) == brute_maximal_class(s, att)
+
+    def test_cycles_are_distinct_edge_sets(self, reduced_levels):
+        for s in reduced_levels:
+            cycles = lv.simple_cycles(s)
+            assert len({frozenset(e for e, _ in c) for c in cycles}) == len(cycles)
+
+    def test_pruned_restart_lists_the_same_cycles(self, reduced_levels, monkeypatch):
+        full = [(lv.simple_cycles(s), lv.cycle_classes(s)) for s in reduced_levels]
+        monkeypatch.setattr(lv, "_NODE_CAP", 2)
+        assert [(lv.simple_cycles(s), lv.cycle_classes(s)) for s in reduced_levels] == full
+
+    def test_budget_threshold_is_the_cycle_count(self, reduced_levels):
+        for s in reduced_levels:
+            n_cycles = len(lv.simple_cycles(s))
+            for search in (lv.simple_cycles, lv.cycle_classes):
+                search(s, budget=n_cycles)
+                with pytest.raises(lv.CycleBudgetError):
+                    search(s, budget=n_cycles - 1)
 
 
 class TestMaximalClass:
