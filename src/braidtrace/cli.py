@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import equivalence as eq
+from . import oracle
 from . import threebraid as tb
 from .checks import run_structure_checks
 from .serialize import canonical_json, document_to_graph, graph_to_document, to_dot
@@ -69,15 +70,14 @@ def cmd_conj3(args) -> int:
     a = parse_word(args.a, 3)
     b = parse_word(args.b, 3)
     res = tb.conjugate_3braids(a, b, oracle_depth=args.oracle_depth)
-    from .oracle import conjugator_search
-
-    cross = conjugator_search(a, b, args.oracle_depth)
+    # conjugate_3braids searched already before a FALSE or INCONCLUSIVE
+    # verdict, except when the cycle types differ, where no conjugator exists
     if res.verdict is tb.Verdict.TRUE:
+        cross = oracle.conjugator_search(a, b, args.oracle_depth)
         status = "consistent" if cross is not None else "no witness at this depth"
-    elif res.verdict is tb.Verdict.FALSE:
-        status = "consistent" if cross is None else "CONFLICT"
     else:
-        status = "surfaced discrepancy"
+        cross = res.oracle_witness
+        status = "consistent" if res.verdict is tb.Verdict.FALSE else "surfaced discrepancy"
     print(f"verdict: {res.verdict.value}")
     if res.relabeling:
         print(f"witness relabeling: {res.relabeling} (power {res.power})")

@@ -12,16 +12,25 @@ vertices after taking both time lifts.
 
 All geometry is double precision; event coordinates are asserted to be
 separated by EVENT_SEP and failures raise GenericityError instead of
-perturbing anything silently.
+perturbing anything silently.  Every event is the root of a bracketed
+function along one exchange window, found by `brentq`, an in-package port
+of scipy's Brent solver that returns the same doubles, so the package
+needs no numerical library.
+
+Known limit: `slot_angles` accepts n <= 12, but `letter_geometry` raises
+GenericityError ("two trisecants too close") for s_1^(+-1) at n = 9, for
+s_1, s_2 at n = 10 and for s_1 to s_3 at n = 11: 2 of the 16 (slot, sign)
+letters, 4 of 18 and 6 of 20.  At n = 12 it raises for all 22 letters
+(4 "two trisecants too close", 18 "trisecant y-order degenerate").  Words
+on 9 or more strands build only when they avoid those letters.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.optimize import brentq
 
 from .words import BraidWord, strand_positions
 
@@ -29,6 +38,8 @@ TWO_PI = 2.0 * math.pi
 ROOT_TOL = 1e-10       # z-root tolerance for event solving
 EVENT_SEP = 1e-6       # minimum separation of distinct events
 GENERICITY_MARGIN = 1e-8  # >= 10x the 1e-9 comparison tolerance
+BRENT_RTOL = 4 * sys.float_info.epsilon
+BRENT_MAXITER = 100
 
 
 class GenericityError(RuntimeError):
@@ -47,6 +58,67 @@ def wrap_pm_pi(t: float) -> float:
     """Wrap into (-pi, pi]."""
     t = (t + math.pi) % TWO_PI
     return t - math.pi if t != 0.0 else math.pi
+
+
+def brentq(f, a: float, b: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    A step-for-step port of scipy's C ``brentq`` (Brent 1973), with its
+    relative tolerance 4*eps and its 100-iteration limit, so every root is
+    the same double scipy's ``brentq(f, a, b, xtol=ROOT_TOL)`` returns.
+    Like scipy it raises ValueError when the bracket has one sign or f
+    returns NaN, and RuntimeError when it does not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    def negative(y: float) -> bool:  # C signbit
+        return math.copysign(1.0, y) < 0
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_TOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def crossing_time(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
@@ -268,6 +340,16 @@ class LetterGeometry:
             (1.0 - 2.0 * s) * self.chord_len,
         )
 
+    def solve_direction(self, direction: float) -> float:
+        """The window parameter s at which the chord from u to v points along
+        `direction` mod pi.  The direction sweeps exactly pi per window, so
+        there is one root; the window ends are left out because there the
+        chord is the stationary one."""
+        target = (direction - self.chord_angle) % math.pi
+        if self.sign > 0:
+            target -= math.pi  # eta runs 0 .. -pi
+        return brentq(lambda s: self.eta(s) - target, 1e-15, 1.0 - 1e-15)
+
     def moving_pair_delta_t(self, s1: float, s2: float) -> float:
         """Exact t-displacement of the moving-pair curve over [s1, s2]."""
         if s1 == 0.0 and s2 == 1.0:
@@ -324,16 +406,12 @@ def letter_geometry(n: int, slot: int, sign: int) -> LetterGeometry:
         if j in (slot, slot + 1):
             continue
         beta = math.atan2(pts[j - 1][1] - mid[1], pts[j - 1][0] - mid[0])
-        tau = (beta - chord_angle) % math.pi
-        if sign > 0:
-            tau -= math.pi  # eta runs (0, -pi)
-        f = lambda s, tau=tau: geom.eta(s) - tau
-        lo, hi = 1e-15, 1.0 - 1e-15
-        if f(lo) * f(hi) > 0:
+        try:
+            s_star = geom.solve_direction(beta)
+        except ValueError as ex:
             raise GenericityError(
                 f"trisecant bracket failed for n={n} slot={slot} spectator={j}"
-            )
-        s_star = brentq(f, lo, hi, xtol=ROOT_TOL)
+            ) from ex
         line_angle = beta
         t0 = wrap_pi(math.pi / 2 - line_angle)
         u_pt, v_pt, s_pt = geom.u(s_star), geom.v(s_star), pts[j - 1]
@@ -377,7 +455,7 @@ def letter_geometry(n: int, slot: int, sign: int) -> LetterGeometry:
             vals = [g(s) for s in samples]
             for k in range(32):
                 if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0:
-                    s_ext = brentq(g, samples[k], samples[k + 1], xtol=ROOT_TOL)
+                    s_ext = brentq(g, samples[k], samples[k + 1])
                     p = f(s_ext)
                     t0 = wrap_pi(math.pi / 2 - math.atan2(p[1] - spt[1], p[0] - spt[0]))
                     extrema.append(ExtremumEvent(mover, j, s_ext, t0))
@@ -418,19 +496,6 @@ class StrandPathSet:
     def window(self, m: int) -> tuple[float, float]:
         l = self.length
         return (m / l + 1 / (3 * l), m / l + 2 / (3 * l))
-
-    def locate(self, z: float) -> tuple[int, float]:
-        """Map z in [0,1) to (letter index, window parameter s); s is None-ish
-        (-1) outside the exchange window."""
-        l = self.length
-        if l == 0:
-            return 0, -1.0
-        z = z % 1.0
-        m = min(int(z * l), l - 1)
-        frac = z * l - m
-        if frac < 1 / 3 or frac >= 2 / 3:
-            return m, -1.0
-        return m, 3 * frac - 1
 
     def movers(self, m: int) -> tuple[int, int]:
         i = self.word.letters[m][0]

@@ -103,10 +103,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def mat_key(a: Matrix) -> tuple:
     return tuple(entry.key() for row in a for entry in row)
 

@@ -165,16 +165,6 @@ def document_to_graph(doc: dict) -> TraceGraph:
     )
 
 
-def save_graph(g: TraceGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(graph_to_document(g)))
-
-
-def load_graph(path: str) -> TraceGraph:
-    with open(path) as fh:
-        return document_to_graph(json.load(fh))
-
-
 _PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
     "#f781bf", "#999999", "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",

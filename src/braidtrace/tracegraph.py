@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from scipy.optimize import brentq
-
 from . import embedding as emb
 from .embedding import (
     EVENT_SEP,
@@ -566,11 +564,8 @@ def read_fiber(g, t: float, tol: float = 1e-9) -> list[FiberCrossing]:
                 if a not in mv and b not in mv:
                     continue
                 if a in mv and b in mv:
-                    for s_root in _solve_moving_pair(geom, tau):
-                        z = ws + s_root * (we - ws)
-                        crossings.append(
-                            _fiber_crossing_at(paths, graph, cs, a, b, z, t, tol)
-                        )
+                    z = ws + geom.solve_direction(tau) * (we - ws)
+                    crossings.append(_fiber_crossing_at(paths, graph, cs, a, b, z, t, tol))
                 else:
                     mover_track, other = (a, b) if a in mv else (b, a)
                     sym = "u" if mover_track == mv[0] else "v"
@@ -598,16 +593,6 @@ def read_fiber(g, t: float, tol: float = 1e-9) -> list[FiberCrossing]:
     return crossings
 
 
-def _solve_moving_pair(geom, tau: float) -> Iterator[float]:
-    """The moving pair's direction sweeps exactly pi per window, so every
-    fiber is crossed exactly once; boundary hits are excluded because they
-    coincide with the stationary chord direction, a singular fiber."""
-    target = (tau - geom.chord_angle) % math.pi
-    if geom.sign > 0:
-        target -= math.pi  # eta runs 0 .. -pi
-    yield brentq(lambda s: geom.eta(s) - target, 1e-15, 1 - 1e-15, xtol=emb.ROOT_TOL)
-
-
 def _solve_monotone_theta(theta, s_lo: float, s_hi: float, tau: float) -> Iterator[float]:
     """Roots of theta(s) = tau (mod pi) on a monotone piece with swing < pi.
     Interior roots only; boundary hits are singular fibers, rejected upstream."""
@@ -616,10 +601,7 @@ def _solve_monotone_theta(theta, s_lo: float, s_hi: float, tau: float) -> Iterat
     c0 = (tau - th1) % math.pi
     for c in (c0, c0 - math.pi):
         if (0.0 < c < u_hi) or (u_hi < c < 0.0):
-            yield brentq(
-                lambda s: wrap_pm_pi(theta(s) - th1) - c,
-                s_lo, s_hi, xtol=emb.ROOT_TOL,
-            )
+            yield emb.brentq(lambda s: wrap_pm_pi(theta(s) - th1) - c, s_lo, s_hi)
 
 
 def _fiber_crossing_at(

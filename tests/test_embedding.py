@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from braidtrace import embedding as emb
 from braidtrace.embedding import (
     GENERICITY_MARGIN,
     GenericityError,
+    brentq,
     bump_amplitude,
     crossing_time,
     letter_geometry,
@@ -12,6 +14,7 @@ from braidtrace.embedding import (
     strand_paths,
     t_over,
 )
+from braidtrace.tracegraph import build_trace_graph, read_fiber
 from braidtrace.words import BraidWord, parse_word
 
 
@@ -142,3 +145,57 @@ class TestLetterGeometry:
                     g = letter_geometry(n, slot, sign)
                     for ev in g.trisecants:
                         assert ev.y_order_t0[1] in ("u", "v")
+
+
+class TestBrentq:
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(emb, "BRENT_MAXITER", 2)
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(lambda x: x**3 - 0.3, 0.0, 1.0)
+
+
+class TestBrentqMatchesScipy:
+    """The port returns scipy's double for every root the program solves."""
+
+    def test_every_root_up_to_eight_strands(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        port = emb.brentq
+        roots = []
+
+        def both(f, a, b):
+            ours = port(f, a, b)
+            ref = optimize.brentq(f, a, b, xtol=emb.ROOT_TOL)
+            assert ours.hex() == float(ref).hex(), (a, b)
+            roots.append(ours)
+            return ours
+
+        monkeypatch.setattr(emb, "brentq", both)
+        emb.letter_geometry.cache_clear()
+        events = 0
+        for n in range(2, 9):
+            for slot in range(1, n):
+                for sign in (1, -1):
+                    g = letter_geometry(n, slot, sign)
+                    events += len(g.trisecants) + len(g.extrema)
+        assert len(roots) == events > 0
+
+        # one word with every letter; each fibre crossing is one root: at
+        # t = 0 only the mover pairs cross, at t = 1.9 mover-spectator pairs too
+        spectator_roots = 0
+        for n in range(2, 9):
+            w = BraidWord(n, tuple((i, e) for e in (1, -1) for i in range(1, n)))
+            g = build_trace_graph(w)
+            roots.clear()
+            assert len(read_fiber(g, 0.0)) == len(roots) == len(w)
+            roots.clear()
+            assert len(read_fiber(g, 1.9)) == len(roots) >= len(w)
+            spectator_roots += len(roots) - len(w)
+        assert spectator_roots > 0

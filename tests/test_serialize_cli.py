@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import braidtrace
+from braidtrace import cli, oracle
 from braidtrace import equivalence as eq
 from braidtrace.serialize import (
     SchemaError,
@@ -13,7 +18,21 @@ from braidtrace.serialize import (
     to_dot,
 )
 from braidtrace.tracegraph import build_trace_graph
-from braidtrace.words import BraidWord, parse_word
+from braidtrace.words import BraidWord, parse_word, random_word
+
+# sha256 of the canonical_json documents of golden_words(), one per line,
+# as written before the in-package root solver replaced scipy's brentq
+GOLDEN_SHA256 = "a605741507d1f38ee49e94fafda26952df25d21d210bf8722771eab76e39b637"
+
+
+def golden_words():
+    rng = random.Random(20261018)
+    words = [BraidWord(n) for n in range(2, 7)]
+    for n in range(2, 7):
+        for l in (1, 2, 4, 8, 12, 16, 24):
+            for _ in range(2):
+                words.append(random_word(n, l, rng))
+    return words
 
 
 class TestDocuments:
@@ -55,6 +74,12 @@ class TestDocuments:
         doc["edges"] = doc["edges"][:-1]
         with pytest.raises(SchemaError):
             document_to_graph(doc)
+
+    def test_golden_bytes(self):
+        h = hashlib.sha256()
+        for w in golden_words():
+            h.update(canonical_json(graph_to_document(build_trace_graph(w))).encode() + b"\n")
+        assert h.hexdigest() == GOLDEN_SHA256
 
     def test_dot_deterministic(self):
         g = build_trace_graph(parse_word("s1 s2", 3))
@@ -131,6 +156,23 @@ class TestCli:
         r = run_cli("conj3", "--a", "s1", "--b", "s2")
         assert r.returncode == 0
 
+    @pytest.mark.parametrize(
+        "a,b,code",
+        [("s1 s2", "s1^-1 s2^-1", 1), ("s1^2 s2^2", "s1^2 s2^-2", 1), ("s1", "s2", 0)],
+    )
+    def test_conj3_searches_once(self, monkeypatch, capsys, a, b, code):
+        calls = []
+        search = oracle.conjugator_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "conjugator_search", counted)
+        assert cli.main(["conj3", "--a", a, "--b", b]) == code
+        assert len(calls) == 1
+        assert "oracle cross-check" in capsys.readouterr().out
+
     def test_invariants_empty_word(self):
         r = run_cli("invariants", "--word", "", "--strands", "3")
         assert r.returncode == 0
@@ -150,3 +192,17 @@ class TestCli:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout.startswith("digraph")
+
+
+def test_cli_loads_no_numerics_library():
+    src = os.path.dirname(os.path.dirname(braidtrace.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "import braidtrace.checks, braidtrace.cli, braidtrace.equivalence, braidtrace.threebraid\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
