@@ -2,8 +2,7 @@
 
 Exit codes follow one contract everywhere: 0 for success or a positive
 verdict, 1 for a negative verdict, 2 for errors (parse failures, schema
-mismatches, exhausted budgets).  The environment variable BTG_BUDGET
-overrides the comparison choice-space budget.
+mismatches, exhausted budgets).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def cmd_compare(args) -> int:
         g1 = eq.reduce(g1)
         g2 = eq.reduce(g2)
         print(f"reduced to {g1.num_vertices} and {g2.num_vertices} vertices")
-    res = eq.isotopic(g1, g2, full_product=args.full_product)
+    res = eq.isotopic(g1, g2)
     ks = res.per_circle_vertices
     print(f"per-circle vertex counts k_i = {list(ks)}")
     print(f"base-point choices k_1*...*k_N = {res.choice_product}"
@@ -157,8 +156,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("a")
     c.add_argument("b")
     c.add_argument("--mode", choices=("isotopy", "trihedral"), default="isotopy")
-    c.add_argument("--full-product", action="store_true",
-                   help="certify the pruned search by full enumeration")
     c.set_defaults(func=cmd_compare)
 
     j = sub.add_parser("conj3", help="decide conjugacy of two 3-braids")

@@ -4,23 +4,24 @@ Two embedded labelled trace graphs are isotopic in the thickened torus
 exactly when their codes (vertex triplets + attractor classes + maximal
 classes) agree for some choice of base points on trace circles and of the
 cyclic marking representatives, possibly after the time shift by pi that
-reverses all markings and inverts levels.  Circles are globally
-distinguished by their markings, so matching only has to resolve one base
-offset per circle; offsets propagate through shared vertices, which keeps
-the search linear per anchor candidate while staying equivalent to the
-full product enumeration.
+reverses all markings and inverts levels.  `isotopic` reads each graph
+once, into its `trace_code`, and from then on compares codes only: each
+candidate relabels the second code, and its base points are resolved one
+circle at a time.  Circles are globally distinguished by their markings,
+so matching only has to resolve one base offset per circle; offsets
+propagate through shared vertices, which keeps the search linear per
+anchor candidate while staying equivalent to the full product enumeration
+(the tests keep that enumeration as their reference).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from . import levels as lv
-from .embedding import GenericityError, wrap_pm_pi
 from .tracegraph import (
     Marking,
     TraceCircle,
@@ -38,28 +39,29 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def comparison_budget() -> int:
-    raw = os.environ.get("BTG_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # Trace codes
 
 
 TripletEntry = tuple[Marking, int, int]  # (circle marking, index along circle, level)
+Triplet = tuple[TripletEntry, TripletEntry, TripletEntry]
 
 
 @dataclass(frozen=True)
 class TraceCode:
     """The three-piece fingerprint of an embedded labelled trace graph.
 
+    piece1 holds one vertex triplet per vertex, in the graph's vertex
+    order.  An entry's index is the vertex's visit on that circle, so the
+    triplets also record which vertex each circle meets in turn: the
+    isotopy decision matches base points from the code alone.
     free_circles lists each vertex-free circle as (marking, level,
-    (dz_total, dt_winding)); the loop's level is part of the code, as in
-    the isotopy decision's _free_circles_match.
+    (dz_total, dt_winding)); the loop's level is part of the code.
+    Equality compares codes for fixed choices; `isotopic` searches the
+    choices.
     """
 
-    piece1: tuple[tuple[TripletEntry, TripletEntry, TripletEntry], ...]
+    piece1: tuple[Triplet, ...]
     piece2: tuple[tuple[tuple[int, int], ...], ...]      # per level, sorted attractor classes
     piece3: tuple[Optional[tuple[int, int]], ...]        # per level, maximal class or None
     free_circles: tuple[tuple[Marking, int, tuple[int, int]], ...]  # vertex-free circles
@@ -73,18 +75,11 @@ class TraceCode:
             and sorted(self.free_circles) == sorted(other.free_circles)
         )
 
-
-def _circle_visits(g: TraceGraph, c: TraceCircle) -> list[int]:
-    """Vertex of each junction along the circle; visit k is the tail of
-    edges[k].  Empty for vertex-free circles."""
-    if c.edges and g.edges[c.edges[0]].tail is None:
-        return []
-    return [g.edges[e].tail for e in c.edges]
-
-
-def _head_visit_index(g: TraceGraph, c: TraceCircle, eid: int) -> int:
-    k = c.edges.index(eid)
-    return (k + 1) % len(c.edges)
+    def markings(self) -> set[Marking]:
+        """The marking of every circle of the graph."""
+        out = {m for m, _, _ in self.free_circles}
+        out.update(m for trip in self.piece1 for m, _, _ in trip)
+        return out
 
 
 def vertex_triplet(
@@ -92,8 +87,7 @@ def vertex_triplet(
     v: TraceVertex,
     bases: dict[int, int],
     markings: dict[int, Marking],
-    level_map=None,
-) -> tuple[TripletEntry, TripletEntry, TripletEntry]:
+) -> Triplet:
     """The ordered triplet of a vertex: its three lower branches in
     increasing local t, each as (circle marking, visit index from the
     circle's base point, level of the entering edge)."""
@@ -101,59 +95,53 @@ def vertex_triplet(
     for eid in v.below:
         e = g.edges[eid]
         c = g.circles[e.circle]
-        raw = _head_visit_index(g, c, eid)
-        idx = (raw - bases.get(c.id, 0)) % len(c.edges) + 1
-        lvl = e.level if level_map is None else level_map(e.level)
-        out.append((markings[c.id], idx, lvl))
+        head = (c.edges.index(eid) + 1) % len(c.edges)
+        idx = (head - bases.get(c.id, 0)) % len(c.edges) + 1
+        out.append((markings[c.id], idx, e.level))
     return tuple(out)
 
 
-def trace_code(
-    g: TraceGraph,
-    base_points: Optional[dict[int, int]] = None,
-    marking_shifts: Optional[dict[frozenset, int]] = None,
-    budget: int = lv.CYCLE_BUDGET,
-) -> TraceCode:
-    """The trace code for explicit choices; defaults are base offset zero on
-    every circle and the construction's marking representatives."""
+def trace_code(g: TraceGraph, base_points: Optional[dict[int, int]] = None) -> TraceCode:
+    """The trace code for explicit base points (circle id -> offset, zero
+    where omitted) and the construction's marking representatives."""
     bases = base_points or {}
-    markings = _marking_map(g, marking_shifts or {})
+    markings = {c.id: c.marking for c in g.circles.values()}
     piece1 = tuple(
         vertex_triplet(g, v, bases, markings) for v in g.vertices.values()
     )
     att = lv.attractor_profile(g)
-    mx = lv.maximal_profile(g, budget)
+    mx = lv.maximal_profile(g)
     piece2 = tuple(att[k] for k in range(1, g.n))
     piece3 = tuple(mx[k] for k in range(1, g.n))
     free = []
     for c in g.circles.values():
         e = g.edges[c.edges[0]]
         if e.tail is None:
-            free.append((markings[c.id], e.level, (c.dz_total, c.dt_winding)))
+            free.append((c.marking, e.level, (c.dz_total, c.dt_winding)))
     return TraceCode(piece1, piece2, piece3, tuple(sorted(free)))
 
 
-def codes_equal(tc1: TraceCode, tc2: TraceCode) -> bool:
-    return tc1 == tc2
+def _read_under(
+    tc: TraceCode, n: int, lengths: tuple[int, ...],
+    shifts: dict[frozenset, int], invert: bool,
+) -> tuple[tuple[Triplet, ...], tuple]:
+    """Piece 1 and the free circles of a code read under one candidate:
+    each mixed marking shifted by its family's cyclic shift, then, when
+    inverted, every marking reversed and level k read as n - k."""
+    def relabel(m: Marking) -> Marking:
+        if m.i != m.j:
+            gcd = math.gcd(lengths[m.i - 1], lengths[m.j - 1])
+            extra = shifts.get(frozenset((m.i, m.j)), 0)
+            m = Marking(m.i, m.j, (m.k - 1 + extra) % gcd + 1)
+        return m.reversed(lengths) if invert else m
 
-
-def _marking_map(g: TraceGraph, shifts: dict[frozenset, int]) -> dict[int, Marking]:
-    out = {}
-    for c in g.circles.values():
-        i, j = c.comp_pair
-        if i == j or not shifts:
-            out[c.id] = c.marking
-        else:
-            extra = shifts.get(frozenset((i, j)), 0)
-            gcd = math.gcd(g.cycles.lengths[i - 1], g.cycles.lengths[j - 1])
-            out[c.id] = Marking(i, j, (c.marking.k - 1 + extra) % gcd + 1)
-    return out
-
-
-def _inverted_marking(m: Marking, lengths: tuple[int, ...]) -> Marking:
-    if m.i == m.j:
-        return Marking(m.i, m.j, lengths[m.i - 1] - m.k)
-    return Marking(m.j, m.i, m.k)
+    marks = {m: relabel(m) for m in tc.markings()}
+    lvl = (lambda k: n - k) if invert else (lambda k: k)
+    piece1 = tuple(
+        tuple((marks[m], i, lvl(l)) for m, i, l in trip) for trip in tc.piece1
+    )
+    free = tuple(sorted((marks[m], lvl(l), w) for m, l, w in tc.free_circles))
+    return piece1, free
 
 
 # ---------------------------------------------------------------------------
@@ -174,36 +162,20 @@ class IsotopyResult:
         return self.equal
 
 
-def _mixed_families(g: TraceGraph) -> list[tuple[frozenset, int]]:
-    fams = {}
-    for c in g.circles.values():
-        i, j = c.comp_pair
-        if i != j:
-            fam = frozenset((i, j))
-            fams[fam] = math.gcd(g.cycles.lengths[i - 1], g.cycles.lengths[j - 1])
-    return sorted(fams.items(), key=lambda kv: sorted(kv[0]))
-
-
-def _profiles(g: TraceGraph, budget: int):
-    att = lv.attractor_profile(g)
-    mx = lv.maximal_profile(g, budget)
-    return att, mx
-
-
 def isotopic(
-    g1: TraceGraph,
-    g2: TraceGraph,
-    budget: Optional[int] = None,
-    full_product: bool = False,
+    g1: TraceGraph, g2: TraceGraph, budget: int = DEFAULT_BUDGET
 ) -> IsotopyResult:
     """Decide isotopy of two labelled trace graphs in the thickened torus.
 
-    Searches base-point shifts per circle, cyclic marking shifts per mixed
-    component family, and the label-reversing/level-inverting reading that
-    corresponds to the time shift by pi.  full_product certifies the pruned
-    search by enumerating every base-point tuple.
+    After the count gates (cycle lengths, vertex count, sorted per-circle
+    vertex counts) each graph is read once, into its trace code.  Pieces 2
+    and 3 must agree level by level, or with level k read as n - k for the
+    label-reversing, level-inverting reading that corresponds to the time
+    shift by pi.  A candidate then fixes that reading and a cyclic marking
+    shift per mixed component family; it relabels G2's code, whose free
+    circles must equal G1's and whose base points are matched circle by
+    circle.  More than `budget` candidates raise BudgetExceeded.
     """
-    budget = budget if budget is not None else comparison_budget()
     if g1.n != g2.n:
         raise ValueError(f"strand counts differ: {g1.n} vs {g2.n}")
 
@@ -225,18 +197,15 @@ def isotopic(
     ):
         return result
 
-    att1, mx1 = _profiles(g1, lv.CYCLE_BUDGET)
-    att2, mx2 = _profiles(g2, lv.CYCLE_BUDGET)
-    n = g1.n
-    degenerate_everywhere = all(v is None for v in mx1.values())
-
-    fams = _mixed_families(g1)
+    tc1, tc2 = trace_code(g1), trace_code(g2)
+    n, lengths = g1.n, g1.cycles.lengths
+    if all(m is None for m in tc1.piece3):
+        result.flags = ("all-levels-degenerate",)
+    fams = _mixed_families(tc1, lengths)
     tried = 0
     for invert in (False, True):
-        lmap = (lambda k: k) if not invert else (lambda k: n - k)
-        ok2 = all(att1[k] == att2[n - k if invert else k] for k in att1)
-        ok3 = all(mx1[k] == mx2[n - k if invert else k] for k in mx1)
-        if not (ok2 and ok3):
+        step = -1 if invert else 1
+        if tc1.piece2 != tc2.piece2[::step] or tc1.piece3 != tc2.piece3[::step]:
             continue
         for shifts in _shift_assignments(fams):
             tried += 1
@@ -244,26 +213,30 @@ def isotopic(
                 raise BudgetExceeded(
                     f"comparison exceeded budget {budget}; bound {bound}"
                 )
-            match = _match_piece1(g1, g2, shifts, invert, full_product, budget)
-            if match is None:
+            piece1, free = _read_under(tc2, n, lengths, shifts, invert)
+            if free != tc1.free_circles:
                 continue
-            free_ok = _free_circles_match(g1, g2, shifts, invert)
-            if not free_ok:
-                continue
-            result.equal = True
-            result.witness = {
-                "marking_shifts": {tuple(sorted(f)): s for f, s in shifts.items()},
-                "level_inversion": invert,
-                "base_offsets": match,
-            }
-            result.candidates_tried = tried
-            if degenerate_everywhere:
-                result.flags = ("all-levels-degenerate",)
-            return result
+            match = _match_piece1(tc1.piece1, piece1)
+            if match is not None:
+                result.equal = True
+                result.witness = {
+                    "marking_shifts": {tuple(sorted(f)): s for f, s in shifts.items()},
+                    "level_inversion": invert,
+                    "base_offsets": match,
+                }
+                result.candidates_tried = tried
+                return result
     result.candidates_tried = tried
-    if degenerate_everywhere:
-        result.flags = ("all-levels-degenerate",)
     return result
+
+
+def _mixed_families(tc: TraceCode, lengths: tuple[int, ...]) -> list[tuple[frozenset, int]]:
+    """(family, gcd of its component lengths) per mixed component pair."""
+    fams = {
+        frozenset((m.i, m.j)): math.gcd(lengths[m.i - 1], lengths[m.j - 1])
+        for m in tc.markings() if m.i != m.j
+    }
+    return sorted(fams.items(), key=lambda kv: sorted(kv[0]))
 
 
 def _shift_assignments(fams) -> Iterator[dict[frozenset, int]]:
@@ -278,197 +251,66 @@ def _shift_assignments(fams) -> Iterator[dict[frozenset, int]]:
             yield out
 
 
-def _free_circles_match(g1, g2, shifts, invert) -> bool:
-    """Equal inventories of vertex-free circles: (marking, level, dz, dt) per
-    loop, G2's read under the marking shifts and, when inverted, with
-    reversed markings and level k taken to n-k.  A loop's level is part of
-    the comparison, as it is part of TraceCode.free_circles."""
-    def inventory(g, use_shifts, inverted):
-        out = []
-        marks = _marking_map(g, use_shifts)
-        for c in g.circles.values():
-            if g.edges[c.edges[0]].tail is not None:
-                continue
-            m = marks[c.id]
-            lvl = g.edges[c.edges[0]].level
-            if inverted:
-                m = _inverted_marking(m, g.cycles.lengths)
-                lvl = g.n - lvl
-            out.append((m, lvl, c.dz_total, c.dt_winding))
-        return sorted(out)
-
-    return inventory(g1, {}, False) == inventory(g2, shifts, invert)
+def _code_visits(piece1: tuple[Triplet, ...]) -> dict[Marking, list[int]]:
+    """marking -> the vertex (its position in piece1) at each visit of that
+    circle, read from the triplets' visit indices."""
+    at: dict[Marking, dict[int, int]] = {}
+    for v, trip in enumerate(piece1):
+        for m, i, _ in trip:
+            at.setdefault(m, {})[i - 1] = v
+    return {m: [d[x] for x in range(len(d))] for m, d in at.items()}
 
 
-def _g2_marking_of(g2, c, shifts, invert):
-    m = _marking_map(g2, shifts)[c.id]
-    return _inverted_marking(m, g2.cycles.lengths) if invert else m
-
-
-def _match_piece1(g1, g2, shifts, invert, full_product, budget) -> Optional[dict]:
+def _match_piece1(trip1: tuple[Triplet, ...], trip2: tuple[Triplet, ...]) -> Optional[dict]:
     """Find base offsets for G2's circles making every vertex triplet match
     G1's (with G1 based at zero); None if impossible."""
-    n = g1.n
-    lmap2 = (lambda k: k) if not invert else (lambda k: n - k)
-
-    by_marking1 = {}
-    for c in g1.circles.values():
-        if _circle_visits(g1, c):
-            by_marking1[c.marking] = c
-    by_marking2 = {}
-    for c in g2.circles.values():
-        if _circle_visits(g2, c):
-            by_marking2[_g2_marking_of(g2, c, shifts, invert)] = c
-    if set(by_marking1) != set(by_marking2):
+    visits1, visits2 = _code_visits(trip1), _code_visits(trip2)
+    if {m: len(vs) for m, vs in visits1.items()} != {
+        m: len(vs) for m, vs in visits2.items()
+    }:
         return None
-    for m, c1 in by_marking1.items():
-        if len(c1.edges) != len(by_marking2[m].edges):
-            return None
-
-    marks1 = {c.id: c.marking for c in g1.circles.values()}
-    marks2 = {
-        c.id: _g2_marking_of(g2, c, shifts, invert) for c in g2.circles.values()
-    }
-
-    trip1 = {
-        v.id: vertex_triplet(g1, v, {}, marks1) for v in g1.vertices.values()
-    }
-    trip2raw = {
-        v.id: vertex_triplet(g2, v, {}, marks2, lmap2) for v in g2.vertices.values()
-    }
-
-    visits1 = {c.id: _circle_visits(g1, c) for c in g1.circles.values()}
-    visits2 = {c.id: _circle_visits(g2, c) for c in g2.circles.values()}
-
-    if full_product:
-        return _match_full_product(
-            g1, g2, by_marking1, by_marking2, trip1, trip2raw, visits1, visits2, budget
-        )
-
-    components = _circle_components(g1, visits1)
+    # the least marking not yet placed anchors its circle component: the
+    # components of smaller markings were placed whole before it
     offsets: dict[Marking, int] = {}
-    for comp in components:
-        anchor_cid = min(comp, key=lambda cid: g1.circles[cid].marking)
-        c2a = by_marking2[g1.circles[anchor_cid].marking]
-        found = None
-        for o in range(len(g1.circles[anchor_cid].edges)):
-            trial = _propagate(
-                g1, g2, by_marking1, by_marking2, trip1, trip2raw,
-                visits1, visits2, anchor_cid, c2a.id, o,
-            )
-            if trial is not None:
-                found = trial
+    for anchor in sorted(visits1):
+        if anchor in offsets:
+            continue
+        for o in range(len(visits1[anchor])):
+            found = _propagate(trip1, trip2, visits1, visits2, anchor, o)
+            if found is not None:
+                offsets.update(found)
                 break
-        if found is None:
+        else:
             return None
-        offsets.update(found)
     return {str(mk): off for mk, off in sorted(offsets.items())}
 
 
-def _circle_components(g1, visits1) -> list[list[int]]:
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    vertex_circles: dict[int, list[int]] = {}
-    for cid, vs in visits1.items():
-        if not vs:
-            continue
-        parent[cid] = cid
-        for v in vs:
-            vertex_circles.setdefault(v, []).append(cid)
-    for group in vertex_circles.values():
-        for other in group[1:]:
-            union(group[0], other)
-    comps: dict[int, list[int]] = {}
-    for cid in parent:
-        comps.setdefault(find(cid), []).append(cid)
-    return list(comps.values())
-
-
 def _propagate(
-    g1, g2, by_marking1, by_marking2, trip1, trip2raw, visits1, visits2,
-    anchor1: int, anchor2: int, offset: int,
+    trip1, trip2, visits1, visits2, anchor: Marking, offset: int
 ) -> Optional[dict]:
     """BFS from an anchored circle offset; returns marking -> offset for the
     whole incidence component, or None on any mismatch.  Triplet entries pin
     each vertex's visit coordinates on all three of its circles, so equality
     here is equivalent to full-product code equality on the component."""
-    known: dict[int, int] = {anchor1: offset}
-    pair_of: dict[int, int] = {anchor1: anchor2}
-    queue = [anchor1]
+    known: dict[Marking, int] = {anchor: offset}
+    queue = [anchor]
     while queue:
-        cid = queue.pop()
-        c2 = g2.circles[pair_of[cid]]
-        K = len(g1.circles[cid].edges)
-        off = known[cid]
-        vs2 = visits2[c2.id]
-        for x, v1 in enumerate(visits1[cid]):
-            v2 = vs2[(x + off) % K]
-            for (m1, i1, l1), (m2, i2, l2) in zip(trip1[v1], trip2raw[v2]):
+        m = queue.pop()
+        off = known[m]
+        vs1, vs2 = visits1[m], visits2[m]
+        K = len(vs1)
+        for x, v1 in enumerate(vs1):
+            for (m1, i1, l1), (m2, i2, l2) in zip(trip1[v1], trip2[vs2[(x + off) % K]]):
                 if m1 != m2 or l1 != l2:
                     return None
-                cc1 = by_marking1[m1]
-                cc2 = by_marking2[m2]
-                need = (i2 - i1) % len(cc1.edges)
-                if cc1.id in known:
-                    if known[cc1.id] != need or pair_of[cc1.id] != cc2.id:
+                need = (i2 - i1) % len(visits1[m1])
+                if m1 in known:
+                    if known[m1] != need:
                         return None
                 else:
-                    known[cc1.id] = need
-                    pair_of[cc1.id] = cc2.id
-                    queue.append(cc1.id)
-    return {g1.circles[cid].marking: off for cid, off in known.items()}
-
-
-def _match_full_product(
-    g1, g2, by_marking1, by_marking2, trip1, trip2raw, visits1, visits2, budget
-) -> Optional[dict]:
-    """Certification mode: enumerate every base-offset tuple outright."""
-    markings = sorted(by_marking1)
-    sizes = [len(by_marking1[m].edges) for m in markings]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > budget:
-        raise BudgetExceeded(f"full product {total} exceeds budget {budget}")
-
-    def translate(v2, offs):
-        out = []
-        for m2, i2, l2 in trip2raw[v2]:
-            c2 = by_marking2[m2]
-            Kp = len(c2.edges)
-            out.append((m2, (i2 - offs[m2] - 1) % Kp + 1, l2))
-        return tuple(out)
-
-    import itertools
-
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        offs = dict(zip(markings, combo))
-        ok = True
-        for m in markings:
-            c1 = by_marking1[m]
-            c2 = by_marking2[m]
-            K = len(c1.edges)
-            for x, v1 in enumerate(visits1[c1.id]):
-                v2 = visits2[c2.id][(x + offs[m]) % K]
-                if trip1[v1] != translate(v2, offs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return {str(m): offs[m] for m in markings}
-    return None
+                    known[m1] = need
+                    queue.append(m1)
+    return known
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +606,18 @@ def _level_closed_loops(g: TraceGraph) -> None:
 def _canonical_pair_levels(n: int) -> dict[tuple[int, int], int]:
     """Level of each ordered strand pair's loop in the trace graph of the
     empty n-braid."""
-    g = build_trace_graph(BraidWord(n), keep_paths=False)
+    g = build_trace_graph(BraidWord(n))
     return {
         pair: g.edges[g.circles[cid].edges[0]].level for pair, cid in g.pass_circle.items()
     }
+
+
+def _circle_visits(g: TraceGraph, c: TraceCircle) -> list[int]:
+    """Vertex of each junction along the circle; visit k is the tail of
+    edges[k].  Empty for vertex-free circles."""
+    if c.edges and g.edges[c.edges[0]].tail is None:
+        return []
+    return [g.edges[e].tail for e in c.edges]
 
 
 def _rebuild_symmetry(g: TraceGraph) -> None:
@@ -807,9 +657,8 @@ def _rebuild_symmetry(g: TraceGraph) -> None:
 
 
 def equivalent_up_to_trihedral(
-    g1: TraceGraph, g2: TraceGraph, budget: Optional[int] = None,
-    full_product: bool = False,
+    g1: TraceGraph, g2: TraceGraph, budget: int = DEFAULT_BUDGET
 ) -> IsotopyResult:
     """Equivalence up to isotopy in the thickened torus and trihedral moves:
     isotopy of the reduced graphs."""
-    return isotopic(reduce(g1), reduce(g2), budget, full_product)
+    return isotopic(reduce(g1), reduce(g2), budget)

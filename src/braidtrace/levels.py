@@ -305,14 +305,6 @@ def _cycle_search(s: LevelSubgraph, budget: int, listing: bool):
     return found
 
 
-def oriented_class(cls: HomologyClass) -> HomologyClass:
-    """Orient so the vertical winding is non-negative (then the horizontal)."""
-    u, w = cls
-    if u < 0 or (u == 0 and w < 0):
-        return (-u, -w)
-    return (u, w)
-
-
 def simple_cycles(
     s: LevelSubgraph, budget: int = CYCLE_BUDGET
 ) -> list[list[tuple[int, int]]]:
@@ -343,20 +335,6 @@ def is_degenerate(s: LevelSubgraph) -> bool:
     exactly when the fundamental ones do."""
     base: Optional[HomologyClass] = None
     for cls in fundamental_classes(s):
-        if cls == (0, 0):
-            continue
-        if base is None:
-            base = cls
-        elif base[0] * cls[1] - base[1] * cls[0] != 0:
-            return False
-    return True
-
-
-def is_degenerate_by_enumeration(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> bool:
-    """Reference implementation over an explicit simple-cycle sweep."""
-    base: Optional[HomologyClass] = None
-    for cyc in simple_cycles(s, budget):
-        cls = oriented_class(_edge_class(s.graph, cyc))
         if cls == (0, 0):
             continue
         if base is None:

@@ -300,80 +300,6 @@ def conjugator_search(a: BraidWord, b: BraidWord, max_len: int = 8) -> Optional[
     return None
 
 
-def conjugacy_classes_within_ball(words: list[BraidWord], max_len: int = 8) -> list[list[int]]:
-    """Partition indices of the given B_3 words into classes connected by a
-    conjugator of length <= max_len.  One ball sweep per class representative."""
-    mats = [burau3(w) for w in words]
-    ball = [mw for _, mw in _ball_elements(max_len)]
-    untouched = set(range(len(words)))
-    classes = []
-    while untouched:
-        rep = min(untouched)
-        mrep = mats[rep]
-        orbit_keys = {mat_key(mat_mul(mw, mat_mul(mrep, _inverse2(mw)))) for mw in ball}
-        members = [i for i in untouched if mat_key(mats[i]) in orbit_keys]
-        for i in members:
-            untouched.discard(i)
-        classes.append(members)
-    return classes
-
-
-def _inverse2(m: Matrix) -> Matrix:
-    """Inverse of a 2x2 Laurent matrix with unit determinant +-t^k."""
-    a, b = m[0]
-    c, d = m[1]
-    det = a * d - b * c
-    items = det.coeffs
-    assert len(items) == 1, "burau determinant must be a monomial"
-    (e, coeff), = items.items()
-    assert coeff in (1, -1)
-    inv_det = Laurent({-e: coeff})
-    return (
-        (d * inv_det, -b * inv_det),
-        (-c * inv_det, a * inv_det),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Word rewriting helpers (generate equivalent words for invariance tests)
-
-
-def rewrite_once(w: BraidWord, rng) -> BraidWord:
-    """Apply one random braid-group rewriting that fixes the group element:
-    far commutation, the braid relation, or insertion of a cancelling pair."""
-    letters = list(w.letters)
-    moves = []
-    for p in range(len(letters) - 1):
-        (i, si), (j, sj) = letters[p], letters[p + 1]
-        if abs(i - j) >= 2:
-            moves.append(("swap", p))
-        if si == sj and abs(i - j) == 1 and p + 2 < len(letters):
-            (k, sk) = letters[p + 2]
-            if k == i and sk == si and abs(i - j) == 1:
-                moves.append(("yb", p))
-    for p in range(len(letters) + 1):
-        moves.append(("ins", p))
-    kind, p = moves[rng.randrange(len(moves))]
-    if kind == "swap":
-        letters[p], letters[p + 1] = letters[p + 1], letters[p]
-    elif kind == "yb":
-        # s_i s_j s_i -> s_j s_i s_j for |i-j| = 1, common sign
-        (i, s), (j, _), _ = letters[p], letters[p + 1], letters[p + 2]
-        letters[p: p + 3] = [(j, s), (i, s), (j, s)]
-    else:
-        g = rng.randrange(1, w.n)
-        s = rng.choice((1, -1))
-        letters[p:p] = [(g, s), (g, -s)]
-    return BraidWord(w.n, tuple(letters))
-
-
-def random_rewrite(w: BraidWord, rng, steps: int = 4) -> BraidWord:
-    out = w
-    for _ in range(steps):
-        out = rewrite_once(out, rng)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Brute-force recount of trace-graph structure
 

@@ -4,12 +4,15 @@ The JSON writer is deterministic byte for byte: keys sorted, floats at 12
 significant digits.  Loading a document rebuilds a TraceGraph carrying all
 combinatorial data (rotation systems, levels, markings, displacements);
 fiber operations need the original strand paths and are not available on
-loaded graphs.
+loaded graphs.  A circle's marking must name its own component pair, with a
+mixed pair's cyclic index in 1..gcd, as on every built graph: the isotopy
+decision reads a circle's family and shift range from its marking.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .embedding import EVENT_SEP, GENERICITY_MARGIN, ROOT_TOL
@@ -146,13 +149,15 @@ def document_to_graph(doc: dict) -> TraceGraph:
         a, b = key.split(",")
         pass_circle[(int(a), int(b))] = cid
     required = {e["id"] for e in doc["edges"]}
+    cycles = cycle_structure(word)
     for c in circles.values():
         if not set(c.edges) <= required:
             raise SchemaError(f"circle {c.id} references missing edges")
+        _check_marking(c, cycles.lengths)
     return TraceGraph(
         word.n,
         word,
-        cycle_structure(word),
+        cycles,
         vertices,
         edges,
         circles,
@@ -163,6 +168,14 @@ def document_to_graph(doc: dict) -> TraceGraph:
         paths=None,
         reduced_from=doc.get("reduced_from"),
     )
+
+
+def _check_marking(c: TraceCircle, lengths: tuple[int, ...]) -> None:
+    m = c.marking
+    if (m.i, m.j) != c.comp_pair or not all(1 <= x <= len(lengths) for x in c.comp_pair):
+        raise SchemaError(f"circle {c.id}: marking {m} does not match components {c.comp_pair}")
+    if m.i != m.j and not 1 <= m.k <= math.gcd(lengths[m.i - 1], lengths[m.j - 1]):
+        raise SchemaError(f"circle {c.id}: marking {m} has a cyclic index out of range")
 
 
 _PALETTE = (

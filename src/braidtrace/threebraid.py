@@ -110,7 +110,7 @@ def cyclic_invariant(
 
 @lru_cache(maxsize=4096)
 def _reduced_graph_cached(letters: tuple[tuple[int, int], ...]):
-    g = build_trace_graph(BraidWord(3, letters), keep_paths=True)
+    g = build_trace_graph(BraidWord(3, letters))
     return reduce_graph(g)
 
 
@@ -213,12 +213,3 @@ def conjugate_3braids(
 def _pure_profile(letters: tuple[tuple[int, int], ...]):
     w = BraidWord(3, letters)
     return (linking_number(w, 1, 2), cyclic_invariant(w).canonical)
-
-
-def reconstruct_partner_column(col: TripletColumn) -> TripletColumn:
-    """The column of the reversed pair, reconstructed from the t+pi symmetry:
-    partner vertices keep their t-order, every marking reverses."""
-    raw = tuple(
-        tuple((j, i) for i, j in trip) for trip in col.raw
-    )
-    return TripletColumn((col.pair[1], col.pair[0]), raw, minimal_rotation(raw))

@@ -163,7 +163,7 @@ class _Visit:
     pair: tuple[int, int]    # ordered track pair of the pass
 
 
-def build_trace_graph(w: BraidWord, keep_paths: bool = True) -> TraceGraph:
+def build_trace_graph(w: BraidWord) -> TraceGraph:
     paths = strand_paths(w)
     cs = cycle_structure(w)
     perm = permutation(w)
@@ -320,7 +320,7 @@ def build_trace_graph(w: BraidWord, keep_paths: bool = True) -> TraceGraph:
     graph = TraceGraph(
         n, w, cs, vertices, edges, circles,
         vertex_partner, edge_partner, circle_partner, pass_circle,
-        paths=paths if keep_paths else None,
+        paths=paths,
     )
     _assign_markings(graph)
     return graph
@@ -434,7 +434,7 @@ def _assign_markings(graph: TraceGraph) -> None:
         return
 
     first_seen: dict[frozenset, TraceCircle] = {}
-    if graph.paths is not None and graph.paths.length > 0:
+    if graph.paths.length > 0:
         for cr in read_fiber(graph, 0.0):
             fam = frozenset(cr.comp_pair)
             if len(fam) == 2 and fam not in first_seen:

@@ -3,12 +3,22 @@
 The cycle enumerators here deliberately use different algorithms from the
 package (Johnson's blocked search on the directed double cover, and plain
 edge-subset enumeration for tiny graphs) so that agreement is meaningful.
+The base-point search of the isotopy decision is checked against a walk of
+the full product of base offsets, the 3-braid invariants against a Burau
+ball partition and random rewriting.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
+
+from braidtrace import equivalence as eq
+from braidtrace.levels import CYCLE_BUDGET, _edge_class, simple_cycles
+from braidtrace.oracle import Laurent, _ball_elements, burau3, mat_key, mat_mul
+from braidtrace.threebraid import TripletColumn, minimal_rotation
+from braidtrace.words import BraidWord
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,3 +190,188 @@ def brute_maximal_class(s, attractor_class, classes=None):
     nonzero = [c for c in nontrivial if m_value(c) != 0]
     best = max(m_value(c) for c in nonzero)
     return max((c for c in nonzero if m_value(c) == best), key=lambda c: c[0])
+
+
+def oriented_class(cls):
+    """Orient so the vertical winding is non-negative (then the horizontal)."""
+    u, w = cls
+    if u < 0 or (u == 0 and w < 0):
+        return (-u, -w)
+    return (u, w)
+
+
+def is_degenerate_by_enumeration(s, budget: int = CYCLE_BUDGET) -> bool:
+    """Degeneracy decided over an explicit simple-cycle sweep."""
+    base = None
+    for cyc in simple_cycles(s, budget):
+        cls = oriented_class(_edge_class(s.graph, cyc))
+        if cls == (0, 0):
+            continue
+        if base is None:
+            base = cls
+        elif base[0] * cls[1] - base[1] * cls[0] != 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Isotopy by the full product of base points
+
+
+def isotopy_by_full_product(g1, g2) -> Optional[dict]:
+    """The witness of `equivalence.isotopic`, found by walking every tuple
+    of base offsets instead of propagating one anchor offset.
+
+    Candidates (inversion, then marking shifts) come in the decision's
+    order.  For each, the offset tuples of G2's circles, in sorted marking
+    order, are walked lexicographically; a prefix is left as soon as one of
+    its circles visits a vertex whose triplet, read at the assigned
+    offsets, differs from G1's.  The first complete tuple is the
+    lexicographically least, which is the decision's too: within one
+    circle component every offset follows from the smallest marking's.
+    """
+    if (
+        g1.cycles.lengths != g2.cycles.lengths
+        or sorted(g1.vertex_count_per_circle().values())
+        != sorted(g2.vertex_count_per_circle().values())
+    ):
+        return None
+    tc1, tc2 = eq.trace_code(g1), eq.trace_code(g2)
+    n, lengths = g1.n, g1.cycles.lengths
+    for invert in (False, True):
+        step = -1 if invert else 1
+        if tc1.piece2 != tc2.piece2[::step] or tc1.piece3 != tc2.piece3[::step]:
+            continue
+        for shifts in eq._shift_assignments(eq._mixed_families(tc1, lengths)):
+            piece1, free = eq._read_under(tc2, n, lengths, shifts, invert)
+            if free != tc1.free_circles:
+                continue
+            offsets = _full_product_offsets(tc1.piece1, piece1)
+            if offsets is not None:
+                return {
+                    "marking_shifts": {tuple(sorted(f)): s for f, s in shifts.items()},
+                    "level_inversion": invert,
+                    "base_offsets": offsets,
+                }
+    return None
+
+
+def _full_product_offsets(trip1, trip2) -> Optional[dict]:
+    visits1, visits2 = eq._code_visits(trip1), eq._code_visits(trip2)
+    if {m: len(v) for m, v in visits1.items()} != {m: len(v) for m, v in visits2.items()}:
+        return None
+    order = sorted(visits1)
+    offs = {}
+
+    def holds(m, x) -> Optional[bool]:
+        """Whether visit x of circle m matches; None while an offset it
+        needs is unassigned."""
+        v1 = visits1[m][x]
+        v2 = visits2[m][(x + offs[m]) % len(visits1[m])]
+        for (m1, i1, l1), (m2, i2, l2) in zip(trip1[v1], trip2[v2]):
+            if m1 != m2 or l1 != l2:
+                return False
+            if m2 not in offs:
+                return None
+            if (i2 - offs[m2] - 1) % len(visits2[m2]) + 1 != i1:
+                return False
+        return True
+
+    def walk(depth) -> bool:
+        if depth == len(order):
+            return True
+        m = order[depth]
+        for o in range(len(visits1[m])):
+            offs[m] = o
+            if all(
+                holds(mm, x) is not False
+                for mm in order[: depth + 1] for x in range(len(visits1[mm]))
+            ) and walk(depth + 1):
+                return True
+        del offs[m]
+        return False
+
+    return {str(m): offs[m] for m in order} if walk(0) else None
+
+
+# ---------------------------------------------------------------------------
+# Burau ball partition and word rewriting (3-braid references)
+
+
+def conjugacy_classes_within_ball(words, max_len: int = 8) -> list[list[int]]:
+    """Partition indices of the given B_3 words into classes connected by a
+    conjugator of length <= max_len.  One ball sweep per class representative."""
+    mats = [burau3(w) for w in words]
+    ball = [mw for _, mw in _ball_elements(max_len)]
+    untouched = set(range(len(words)))
+    classes = []
+    while untouched:
+        rep = min(untouched)
+        mrep = mats[rep]
+        orbit_keys = {mat_key(mat_mul(mw, mat_mul(mrep, inverse2(mw)))) for mw in ball}
+        members = [i for i in untouched if mat_key(mats[i]) in orbit_keys]
+        for i in members:
+            untouched.discard(i)
+        classes.append(members)
+    return classes
+
+
+def inverse2(m):
+    """Inverse of a 2x2 Laurent matrix with unit determinant +-t^k."""
+    a, b = m[0]
+    c, d = m[1]
+    det = a * d - b * c
+    items = det.coeffs
+    assert len(items) == 1, "burau determinant must be a monomial"
+    (e, coeff), = items.items()
+    assert coeff in (1, -1)
+    inv_det = Laurent({-e: coeff})
+    return (
+        (d * inv_det, -b * inv_det),
+        (-c * inv_det, a * inv_det),
+    )
+
+
+def rewrite_once(w: BraidWord, rng) -> BraidWord:
+    """Apply one random braid-group rewriting that fixes the group element:
+    far commutation, the braid relation, or insertion of a cancelling pair."""
+    letters = list(w.letters)
+    moves = []
+    for p in range(len(letters) - 1):
+        (i, si), (j, sj) = letters[p], letters[p + 1]
+        if abs(i - j) >= 2:
+            moves.append(("swap", p))
+        if si == sj and abs(i - j) == 1 and p + 2 < len(letters):
+            (k, sk) = letters[p + 2]
+            if k == i and sk == si and abs(i - j) == 1:
+                moves.append(("yb", p))
+    for p in range(len(letters) + 1):
+        moves.append(("ins", p))
+    kind, p = moves[rng.randrange(len(moves))]
+    if kind == "swap":
+        letters[p], letters[p + 1] = letters[p + 1], letters[p]
+    elif kind == "yb":
+        # s_i s_j s_i -> s_j s_i s_j for |i-j| = 1, common sign
+        (i, s), (j, _), _ = letters[p], letters[p + 1], letters[p + 2]
+        letters[p: p + 3] = [(j, s), (i, s), (j, s)]
+    else:
+        g = rng.randrange(1, w.n)
+        s = rng.choice((1, -1))
+        letters[p:p] = [(g, s), (g, -s)]
+    return BraidWord(w.n, tuple(letters))
+
+
+def random_rewrite(w: BraidWord, rng, steps: int = 4) -> BraidWord:
+    out = w
+    for _ in range(steps):
+        out = rewrite_once(out, rng)
+    return out
+
+
+def reconstruct_partner_column(col: TripletColumn) -> TripletColumn:
+    """The column of the reversed pair, reconstructed from the t+pi symmetry:
+    partner vertices keep their t-order, every marking reverses."""
+    raw = tuple(
+        tuple((j, i) for i, j in trip) for trip in col.raw
+    )
+    return TripletColumn((col.pair[1], col.pair[0]), raw, minimal_rotation(raw))

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 import pytest
-from helpers import brute_maximal_class, johnson_cycle_classes
+from helpers import brute_maximal_class, conjugacy_classes_within_ball, johnson_cycle_classes
 
 from braidtrace import equivalence as eq
 from braidtrace import levels as lv
@@ -245,7 +245,7 @@ class TestCriterion7:
         for members in buckets.values():
             if len(members) == 1:
                 continue
-            classes = oracle.conjugacy_classes_within_ball(
+            classes = conjugacy_classes_within_ball(
                 [words[i] for i in members], 8
             )
             for cls in classes:

@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from helpers import isotopy_by_full_product
 
 from braidtrace import equivalence as eq
 from braidtrace import oracle
@@ -20,6 +22,50 @@ from braidtrace.words import (
 
 def conjugate(w, by):
     return free_reduce(concatenate(concatenate(by, w), invert(by)))
+
+
+# sha256 of the sorted decision_rendering(), recorded before isotopic
+# compared trace codes instead of rebuilding vertex triplets per candidate
+DECISIONS_SHA256 = "09562d8ffddb9f50ad12bbb6197279c6cbf8c1c68d398f5f024ed9abd96853c3"
+
+
+def decision_pairs():
+    """Rotation pairs that match only under a non-zero marking shift, then
+    seeded B3-B6 words each against a cyclic rotation and a random word."""
+    rng = random.Random(2713)
+    shifted = [
+        ("s3^-1 s5 s1 s4^-1", "s5 s1 s4^-1 s3^-1", 6),
+        ("s3^-1 s5 s1", "s1 s3^-1 s5", 6),
+        ("s5^-1 s2^-1", "s2^-1 s5^-1", 6),
+        ("s3 s1 s2^-1 s5^-1", "s2^-1 s5^-1 s3 s1", 6),
+        ("s1^-1 s4", "s4 s1^-1", 5),
+        ("s2 s4", "s4 s2", 5),
+    ]
+    pairs = [(parse_word(a, n), parse_word(b, n)) for a, b, n in shifted]
+    for k in range(75):
+        n = 3 + k % 4
+        l = rng.randint(1, 6 if n == 3 else 4)
+        w = random_word(n, l, rng)
+        cut = rng.randrange(l + 1)
+        pairs.append((w, BraidWord(n, w.letters[cut:] + w.letters[:cut])))
+        pairs.append((w, random_word(n, l, rng)))
+    return pairs
+
+
+def decision_rendering() -> list[str]:
+    """(equal, witness, candidates_tried, flags) per pair, every other pair
+    reduced (the second graph in a seeded order)."""
+    lines = []
+    for k, (a, b) in enumerate(decision_pairs()):
+        g1, g2 = build_trace_graph(a), build_trace_graph(b)
+        if k % 2:
+            g1, g2 = eq.reduce(g1), eq.reduce(g2, rng=random.Random(k))
+        try:
+            res = eq.isotopic(g1, g2)
+            lines.append(f"{k} {(res.equal, res.witness, res.candidates_tried, res.flags)!r}")
+        except Exception as ex:
+            lines.append(f"{k} {type(ex).__name__}")
+    return sorted(lines)
 
 
 class TestTraceCode:
@@ -56,7 +102,7 @@ class TestTraceCode:
 
     def test_codes_equal_reflexive(self):
         g = build_trace_graph(parse_word("s1 s2^-1", 3))
-        assert eq.codes_equal(eq.trace_code(g), eq.trace_code(g))
+        assert eq.trace_code(g) == eq.trace_code(g)
 
 
 class TestIsotopic:
@@ -86,20 +132,26 @@ class TestIsotopic:
 
     def test_pruned_equals_full_product(self, rng):
         pairs = [
-            ("s1 s2^-1", "s2^-1 s1"),
-            ("s1 s2", "s2 s1"),
-            ("s1 s1", "s1 s1"),
-            ("s1 s2", "s1 s2^-1"),
+            ("s1 s2^-1", "s2^-1 s1", 3),
+            ("s1 s2", "s2 s1", 3),
+            ("s1 s1", "s1 s1", 3),
+            ("s1 s2", "s1 s2^-1", 3),
+            # isotopic only under the marking shift {(1,2): 1}
+            ("s3^-1 s5 s1 s4^-1", "s5 s1 s4^-1 s3^-1", 6),
         ]
-        for ta, tb in pairs:
-            a = build_trace_graph(parse_word(ta, 3))
-            b = build_trace_graph(parse_word(tb, 3))
-            assert bool(eq.isotopic(a, b)) == bool(eq.isotopic(a, b, full_product=True))
+        for ta, tb, n in pairs:
+            a = build_trace_graph(parse_word(ta, n))
+            b = build_trace_graph(parse_word(tb, n))
+            assert eq.isotopic(a, b).witness == isotopy_by_full_product(a, b)
 
     def test_budget_exhaustion(self, borromean_graphs):
         g1, _ = borromean_graphs
         with pytest.raises(eq.BudgetExceeded):
-            eq.isotopic(g1, g1, budget=0, full_product=True)
+            eq.isotopic(g1, g1, budget=0)
+
+    def test_golden_decisions(self):
+        text = "\n".join(decision_rendering())
+        assert hashlib.sha256(text.encode()).hexdigest() == DECISIONS_SHA256
 
     def test_mismatched_strand_counts(self):
         with pytest.raises(ValueError):

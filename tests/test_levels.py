@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from helpers import brute_maximal_class, johnson_cycle_classes, subset_cycle_classes
+from helpers import (
+    brute_maximal_class,
+    is_degenerate_by_enumeration,
+    johnson_cycle_classes,
+    oriented_class,
+    subset_cycle_classes,
+)
 
 from braidtrace import levels as lv
 from braidtrace.equivalence import reduce
@@ -99,7 +105,7 @@ class TestCycleClasses:
                 g = build_trace_graph(w)
                 for k in (1, 2):
                     s = lv.level_subgraph(g, k)
-                    assert lv.is_degenerate(s) == lv.is_degenerate_by_enumeration(s)
+                    assert lv.is_degenerate(s) == is_degenerate_by_enumeration(s)
 
     def test_budget_error(self):
         text, n, k = NONDEG_WITNESS
@@ -113,7 +119,7 @@ class TestCycleClasses:
             g = build_trace_graph(parse_word(text, n))
             for k in range(1, n):
                 s = lv.level_subgraph(g, k)
-                mine = {lv.oriented_class(lv._edge_class(g, c)) for c in lv.simple_cycles(s)}
+                mine = {oriented_class(lv._edge_class(g, c)) for c in lv.simple_cycles(s)}
                 assert mine == johnson_cycle_classes(s)
                 if len(s.edges) <= 16:
                     assert mine == subset_cycle_classes(s)

@@ -1,4 +1,5 @@
 import pytest
+from helpers import conjugacy_classes_within_ball, random_rewrite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,10 +9,8 @@ from braidtrace.oracle import (
     burau3,
     burau_unreduced,
     char_poly,
-    conjugacy_classes_within_ball,
     conjugator_search,
     invariant_screen,
-    random_rewrite,
 )
 from braidtrace.tracegraph import build_trace_graph
 from braidtrace.words import BraidWord, concatenate, garside_delta, invert, parse_word

@@ -1,15 +1,14 @@
 import random
 
 import pytest
+from helpers import conjugacy_classes_within_ball, random_rewrite, reconstruct_partner_column
 
-from braidtrace import oracle
 from braidtrace.threebraid import (
     Verdict,
     conjugate_3braids,
     conjugate_pure_ordered,
     cyclic_invariant,
     minimal_rotation,
-    reconstruct_partner_column,
 )
 from braidtrace.words import (
     BraidWord,
@@ -88,7 +87,7 @@ class TestCyclicInvariant:
         # braid-relation rewrites on a sample
         for _ in range(8):
             w = pure[rng.randrange(len(pure))]
-            rw = oracle.random_rewrite(w, rng, steps=3)
+            rw = random_rewrite(w, rng, steps=3)
             assert base(rw).canonical == base(w).canonical
 
     def test_partner_reconstruction(self):
@@ -154,7 +153,7 @@ class TestConjugate3Braids:
 
     def test_agrees_with_oracle_exhaustively_short(self):
         words = [w for l in range(0, 3) for w in iter_reduced_words(3, l)]
-        classes = oracle.conjugacy_classes_within_ball(words, 6)
+        classes = conjugacy_classes_within_ball(words, 6)
         cls_of = {}
         for ci, members in enumerate(classes):
             for m in members:

@@ -51,7 +51,7 @@ class TestCounts:
         for n, lmax in ((2, 6), (3, 6), (4, 4)):
             for l in range(0, lmax + 1):
                 for w in iter_reduced_words(n, l):
-                    g = build_trace_graph(w, keep_paths=False)
+                    g = build_trace_graph(w)
                     assert g.num_vertices == 2 * l * (n - 2)
                     nc = len(g.circles)
                     assert nc == oracle.expected_circle_count(w)
