@@ -29,7 +29,7 @@ def main() -> None:
                 s = lv.level_subgraph(g, k)
                 if lv.is_degenerate(s):
                     continue
-                classes = sorted(lv.cycle_classes(s) - {(0, 0)})
+                classes = sorted(lv.simple_cycle_classes(s))
                 ats = [a.homology for a in lv.right_attractors(s)]
                 mx = lv.maximal_class(s, sorted(set(ats))[0])
                 print(

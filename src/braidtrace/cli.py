@@ -2,7 +2,7 @@
 
 Exit codes follow one contract everywhere: 0 for success or a positive
 verdict, 1 for a negative verdict, 2 for errors (parse failures, schema
-mismatches, exhausted budgets).
+mismatches).
 """
 
 from __future__ import annotations
@@ -187,9 +187,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except eq.BudgetExceeded as ex:
-        print(f"budget exhausted: {ex}", file=sys.stderr)
-        return 2
     except Exception as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -32,13 +32,6 @@ from .tracegraph import (
 )
 from .words import BraidWord
 
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Trace codes
 
@@ -162,9 +155,7 @@ class IsotopyResult:
         return self.equal
 
 
-def isotopic(
-    g1: TraceGraph, g2: TraceGraph, budget: int = DEFAULT_BUDGET
-) -> IsotopyResult:
+def isotopic(g1: TraceGraph, g2: TraceGraph) -> IsotopyResult:
     """Decide isotopy of two labelled trace graphs in the thickened torus.
 
     After the count gates (cycle lengths, vertex count, sorted per-circle
@@ -174,7 +165,7 @@ def isotopic(
     shift by pi.  A candidate then fixes that reading and a cyclic marking
     shift per mixed component family; it relabels G2's code, whose free
     circles must equal G1's and whose base points are matched circle by
-    circle.  More than `budget` candidates raise BudgetExceeded.
+    circle.
     """
     if g1.n != g2.n:
         raise ValueError(f"strand counts differ: {g1.n} vs {g2.n}")
@@ -209,10 +200,6 @@ def isotopic(
             continue
         for shifts in _shift_assignments(fams):
             tried += 1
-            if tried > budget:
-                raise BudgetExceeded(
-                    f"comparison exceeded budget {budget}; bound {bound}"
-                )
             piece1, free = _read_under(tc2, n, lengths, shifts, invert)
             if free != tc1.free_circles:
                 continue
@@ -656,9 +643,7 @@ def _rebuild_symmetry(g: TraceGraph) -> None:
     g.edge_partner = edge_partner
 
 
-def equivalent_up_to_trihedral(
-    g1: TraceGraph, g2: TraceGraph, budget: int = DEFAULT_BUDGET
-) -> IsotopyResult:
+def equivalent_up_to_trihedral(g1: TraceGraph, g2: TraceGraph) -> IsotopyResult:
     """Equivalence up to isotopy in the thickened torus and trihedral moves:
     isotopy of the reduced graphs."""
-    return isotopic(reduce(g1), reduce(g2), budget)
+    return isotopic(reduce(g1), reduce(g2))

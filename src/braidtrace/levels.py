@@ -7,11 +7,37 @@ right side once the torus is drawn with its horizontal axis opposite to
 the time circle) is eventually periodic; its limit cycles are the right
 attractors.  Homology classes live in Z^2 as (vertical winding, winding
 opposite to the time circle) = (sum dz, -sum dt / 2pi).
+
+Maximal classes are read from a polygon, not from a cycle enumeration.
+A unit circulation of a level is an integer flow with values in
+{-1, 0, 1} and conservation at every vertex; its class is the signed sum
+of its edges' lift offsets, and P is the convex, centrally symmetric
+polygon of the classes of real circulations bounded by 1 on every edge.
+
+1. At a trivalent vertex a unit circulation uses 0 or 2 edges, so it is
+   a vertex-disjoint union of oriented simple cycles (closed loops and
+   self loops are free +-1 components).
+2. Disjoint essential simple curves on the torus are parallel, so a unit
+   circulation whose class c is primitive contains a simple cycle of
+   class c; a simple cycle's own class is primitive or 0.
+3. The incidence matrix is totally unimodular, so P has integral
+   vertices, and every lattice point of P is the class of a unit
+   circulation (face potentials on a cellular supergraph obey difference
+   constraints with integer bounds).
+
+So the non-trivial simple-cycle classes, oriented canonically, are
+exactly the canonical primitive lattice points of P.  P itself comes from
+max-gain unit circulations, a polynomial support oracle; circulations
+with homology constraints on surface graphs are studied by Chambers,
+Erickson and Nayyeri, "Homology flows, cohomology cuts", SIAM J. Comput.
+41 (2012).  The simple-cycle enumeration (`simple_cycles`,
+`cycle_classes`) remains only as the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -310,13 +336,15 @@ def simple_cycles(
 ) -> list[list[tuple[int, int]]]:
     """All simple cycles of the level subgraph as directed edge lists
     (edge id, +1 upward / -1 downward), each listed once; more than
-    `budget` cycles raise CycleBudgetError."""
+    `budget` cycles raise CycleBudgetError.  Exponential in the worst case;
+    only the tests call it now, as the reference enumeration."""
     return _cycle_search(s, budget, listing=True)
 
 
 def cycle_classes(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> set[HomologyClass]:
     """Homology classes of all simple cycles, oriented canonically; the class
-    (0,0) marks trivial cycles (they bound discs in the torus)."""
+    (0,0) marks trivial cycles (they bound discs in the torus).  The tests'
+    reference for `simple_cycle_classes`, which the decision reads instead."""
     return {_unpack(p) for p in _cycle_search(s, budget, listing=False)}
 
 
@@ -344,17 +372,170 @@ def is_degenerate(s: LevelSubgraph) -> bool:
     return True
 
 
-def maximal_class(
-    s: LevelSubgraph,
-    attractor_class: HomologyClass,
-    budget: int = CYCLE_BUDGET,
-) -> HomologyClass:
+def _max_circulation(
+    adj: list[list[tuple[int, int, int]]], gains: list[int], flow: list[int]
+) -> None:
+    """Raise `flow` in place to a unit circulation of maximum gain.
+
+    adj[v] lists (edge, other end, +1 from the edge's tail or -1 from its
+    head); an edge can take one more unit in direction d while
+    d * flow[edge] < 1, at gain d * gains[edge].  Cycle cancelling from
+    the given circulation: a label-correcting Bellman-Ford search for a
+    positive residual cycle, one unit pushed around each cycle found.  A
+    relaxation of v -> w when w is an ancestor of v closes a positive
+    cycle (each label is at most its parent's plus the arc gain), so the
+    predecessor chain is walked on every relaxation and the cycle is taken
+    the moment it appears; the chain stays a forest, whose labels are
+    bounded, so the search ends when no positive cycle is left."""
+    nv = len(adj)
+    while True:
+        dist = [0] * nv
+        pred: list[Optional[tuple[int, int, int]]] = [None] * nv
+        queued = [True] * nv
+        queue = deque(range(nv))
+        cycle = None
+        while queue and cycle is None:
+            v = queue.popleft()
+            queued[v] = False
+            dv = dist[v]
+            for e, w, d in adj[v]:
+                if d * flow[e] == 1:
+                    continue
+                nd = dv + d * gains[e]
+                if nd <= dist[w]:
+                    continue
+                x = v
+                while x != w and pred[x] is not None:
+                    x = pred[x][0]
+                if x == w:
+                    cycle = [(e, d)]
+                    x = v
+                    while x != w:
+                        x, e2, d2 = pred[x]
+                        cycle.append((e2, d2))
+                    break
+                dist[w] = nd
+                pred[w] = (v, e, d)
+                if not queued[w]:
+                    queued[w] = True
+                    queue.append(w)
+        if cycle is None:
+            return
+        for e, d in cycle:
+            flow[e] += d
+
+
+def _cross(o: HomologyClass, a: HomologyClass, b: HomologyClass) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _class_polygon(s: LevelSubgraph) -> list[HomologyClass]:
+    """Vertices of the class polygon P of the level, counterclockwise (one
+    or two points when P is a point or a segment).
+
+    The support oracle sigma(y) is the class of a max-gain unit
+    circulation for the integer gains <y, offset_e>, warm-started from the
+    previous optimum.  The arc of P's boundary from sigma(1,0) through
+    sigma(0,1) to -sigma(1,0) is gift-wrapped: a chord is refined along
+    its outward normal until the oracle finds nothing beyond it.  P is
+    centrally symmetric, so that arc and its mirror image span it."""
+    g = s.graph
+    offsets = _lift_offsets(s)
+    index = {v: i for i, v in enumerate(s.vertices)}
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in s.vertices]
+    arcs: list[HomologyClass] = []  # offsets of the edges between vertices
+    free: list[HomologyClass] = []  # offsets of closed loops and self loops
+    for e in s.edges:
+        te, he = g.edges[e].tail, g.edges[e].head
+        off = offsets.get(e, (0, 0))
+        if te is None or te == he:
+            free.append(off)
+        else:
+            adj[index[te]].append((len(arcs), index[he], 1))
+            adj[index[he]].append((len(arcs), index[te], -1))
+            arcs.append(off)
+    flow = [0] * len(arcs)
+
+    def support(y: HomologyClass) -> HomologyClass:
+        _max_circulation(adj, [y[0] * u + y[1] * w for u, w in arcs], flow)
+        u = sum(f * c[0] for f, c in zip(flow, arcs))
+        w = sum(f * c[1] for f, c in zip(flow, arcs))
+        for cu, cw in free:
+            gain = y[0] * cu + y[1] * cw
+            if gain:
+                d = 1 if gain > 0 else -1
+                u, w = u + d * cu, w + d * cw
+        return (u, w)
+
+    a = support((1, 0))
+    chain = [a]
+    todo = [(-a[0], -a[1]), support((0, 1))]
+    while todo:
+        p, b = chain[-1], todo[-1]
+        normal = (b[1] - p[1], p[0] - b[0])
+        c = support(normal) if b != p else p
+        if normal[0] * (c[0] - p[0]) + normal[1] * (c[1] - p[1]) > 0:
+            todo.append(c)
+        else:
+            chain.append(todo.pop())
+    points = sorted(set(chain) | {(-u, -w) for u, w in chain})
+    if len(points) <= 2:
+        return points
+
+    def half(seq) -> list[HomologyClass]:
+        out: list[HomologyClass] = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(points)[:-1] + half(reversed(points))[:-1]
+
+
+def simple_cycle_classes(s: LevelSubgraph) -> set[HomologyClass]:
+    """Homology classes of the non-trivial simple cycles, oriented
+    canonically (u > 0, or u = 0 and w > 0): the canonical primitive
+    lattice points of the class polygon (see the module docstring)."""
+    poly = _class_polygon(s)
+    top_u = max(u for u, _ in poly)
+    top_w = max(abs(w) for _, w in poly)
+    sides = list(zip(poly, poly[1:] + poly[:1]))
+    out = set()
+    for u in range(top_u + 1):
+        lo, hi = -top_w, top_w
+        for (au, aw), (bu, bw) in sides:
+            # inside or on the side: du * (w - aw) >= dw * (u - au)
+            du, dw = bu - au, bw - aw
+            r = dw * (u - au)
+            if du > 0:
+                lo = max(lo, aw - (-r // du))
+            elif du < 0:
+                hi = min(hi, aw + r // du)
+            elif r > 0:
+                hi = lo - 1
+        if u == 0:
+            lo = max(lo, 1)
+        for w in range(lo, hi + 1):
+            if math.gcd(u, w) == 1:
+                out.add((u, w))
+    return out
+
+
+def maximal_class(s: LevelSubgraph, attractor_class: HomologyClass) -> HomologyClass:
     """The maximal homology class of a non-degenerate level subgraph: among
     non-trivial cycle classes, maximise M = u/q - w/r (M = w when r = 0) over
-    exact rationals, breaking ties by the vertical number u."""
+    exact rationals, breaking ties by the vertical number u.
+
+    The classes are `simple_cycle_classes`, the canonical primitive
+    lattice points of the level's class polygon: a unit circulation is a
+    disjoint union of simple cycles, disjoint essential cycles on the
+    torus are parallel, and the polygon's lattice points are all classes
+    of unit circulations (module docstring; Chambers, Erickson and
+    Nayyeri 2012)."""
     q, r = attractor_class
     assert q > 0
-    classes = {c for c in cycle_classes(s, budget) if c != (0, 0)}
+    classes = simple_cycle_classes(s)
     if not classes:
         raise DegenerateSubgraphError("no non-trivial cycles")
     base = next(iter(classes))
@@ -384,7 +565,7 @@ def attractor_profile(g: TraceGraph) -> dict[int, tuple[HomologyClass, ...]]:
     return out
 
 
-def maximal_profile(g: TraceGraph, budget: int = CYCLE_BUDGET) -> dict[int, Optional[HomologyClass]]:
+def maximal_profile(g: TraceGraph) -> dict[int, Optional[HomologyClass]]:
     """Maximal class per level; None marks a degenerate level (the trace
     code's third piece omits those)."""
     out = {}
@@ -395,5 +576,5 @@ def maximal_profile(g: TraceGraph, budget: int = CYCLE_BUDGET) -> dict[int, Opti
             continue
         attractors = right_attractors(s)
         classes = sorted({a.homology for a in attractors})
-        out[k] = maximal_class(s, classes[0], budget)
+        out[k] = maximal_class(s, classes[0])
     return out

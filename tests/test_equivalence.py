@@ -144,11 +144,6 @@ class TestIsotopic:
             b = build_trace_graph(parse_word(tb, n))
             assert eq.isotopic(a, b).witness == isotopy_by_full_product(a, b)
 
-    def test_budget_exhaustion(self, borromean_graphs):
-        g1, _ = borromean_graphs
-        with pytest.raises(eq.BudgetExceeded):
-            eq.isotopic(g1, g1, budget=0)
-
     def test_golden_decisions(self):
         text = "\n".join(decision_rendering())
         assert hashlib.sha256(text.encode()).hexdigest() == DECISIONS_SHA256

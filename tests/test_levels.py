@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     subset_cycle_classes,
 )
 
+from braidtrace import equivalence as eq
 from braidtrace import levels as lv
 from braidtrace.equivalence import reduce
 from braidtrace.tracegraph import build_trace_graph
@@ -140,8 +142,11 @@ class TestCycleSearchDifferential:
         return out
 
     def test_classes_match_johnson(self, reduced_levels):
+        # degenerate levels included: the polygon is then a segment or a point
         for s in reduced_levels:
-            assert lv.cycle_classes(s) == johnson_cycle_classes(s)
+            reference = johnson_cycle_classes(s)
+            assert lv.cycle_classes(s) == reference
+            assert lv.simple_cycle_classes(s) == reference - {(0, 0)}
 
     def test_maximal_class_matches_brute_force(self, reduced_levels):
         nondeg = [s for s in reduced_levels if not lv.is_degenerate(s)]
@@ -167,6 +172,69 @@ class TestCycleSearchDifferential:
                 search(s, budget=n_cycles)
                 with pytest.raises(lv.CycleBudgetError):
                     search(s, budget=n_cycles - 1)
+
+
+class TestClassPolygon:
+    # level 1 of B3 s1 s2^-1: P is a hexagon whose lattice points include
+    # classes no simple cycle has
+    WITNESS = ("s1 s2^-1", 3, 1)
+
+    @pytest.fixture(scope="class")
+    def witness(self):
+        text, n, k = self.WITNESS
+        return lv.level_subgraph(build_trace_graph(parse_word(text, n)), k)
+
+    def test_classes_are_the_canonical_primitive_points(self, witness):
+        expected = {(0, 1), (1, -1), (1, 0), (1, 1)}
+        assert lv.simple_cycle_classes(witness) == expected
+        assert johnson_cycle_classes(witness) - {(0, 0)} == expected
+
+    def test_polygon_is_the_hexagon(self, witness):
+        poly = lv._class_polygon(witness)
+        assert sorted(poly) == sorted([(2, 0), (-2, 0), (1, 1), (-1, -1), (-1, 1), (1, -1)])
+
+    def test_closed_walk_class_outside_the_polygon(self, witness):
+        # (1,2) = (0,1) + (1,1) is the class of a closed walk through two
+        # cycles that share vertices; it lies outside P and no simple cycle has it
+        poly = lv._class_polygon(witness)
+        assert any(lv._cross(a, b, (1, 2)) < 0 for a, b in zip(poly, poly[1:] + poly[:1]))
+        assert (1, 2) not in johnson_cycle_classes(witness)
+
+    def test_vertex_is_two_disjoint_cycles(self, witness):
+        # the vertex (2,0) is no simple cycle's class: it is the class of
+        # two vertex-disjoint (1,0) cycles
+        g = witness.graph
+        assert (2, 0) in lv._class_polygon(witness)
+        assert (2, 0) not in johnson_cycle_classes(witness)
+        ones = [
+            {g.edges[e].tail for e, _ in c}
+            for c in lv.simple_cycles(witness)
+            if oriented_class(lv._edge_class(g, c)) == (1, 0)
+        ]
+        assert any(not a & b for a, b in itertools.combinations(ones, 2))
+
+
+class TestScaling:
+    # the isotopy cells of ROADMAP's Baseline, drawn in this order from
+    # random.Random(7); simple-cycle enumeration took 14-45 s on B3 l=20,
+    # B5 l=10 and B6 l=10, and ran out of its cycle budget on B3 l=40,
+    # B4 l=20 and B5 l=15
+    CELLS = ((3, 20), (3, 40), (4, 10), (4, 20), (5, 10), (5, 15), (6, 10))
+    # maximal profiles the enumeration produced
+    PROFILES = {
+        (3, 20): {1: (1, 3), 2: (1, 3)},
+        (4, 10): {1: (2, 1), 2: (2, -1), 3: (2, 1)},
+        (5, 10): {1: (2, 1), 2: (4, -1), 3: (4, -1), 4: (2, 1)},
+        (6, 10): {1: (1, 2), 2: (3, 1), 3: (4, -1), 4: (3, 1), 5: (1, 2)},
+    }
+
+    def test_baseline_isotopy_cells(self):
+        rng = random.Random(7)
+        for n, l in self.CELLS:
+            g = reduce(build_trace_graph(random_word(n, l, rng)))
+            assert eq.isotopic(g, g).equal, (n, l)
+            if (n, l) in self.PROFILES:
+                assert lv.maximal_profile(g) == self.PROFILES[n, l], (n, l)
 
 
 class TestMaximalClass:
