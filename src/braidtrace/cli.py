@@ -176,7 +176,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("export", help="export a trace graph document as DOT")
     e.add_argument("file")
-    e.add_argument("--dot", action="store_true", default=True)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_export)
     return p

@@ -75,35 +75,27 @@ class TraceCode:
         return out
 
 
-def vertex_triplet(
-    g: TraceGraph,
-    v: TraceVertex,
-    bases: dict[int, int],
-    markings: dict[int, Marking],
-) -> Triplet:
+def vertex_triplet(g: TraceGraph, v: TraceVertex) -> Triplet:
     """The ordered triplet of a vertex: its three lower branches in
     increasing local t, each as (circle marking, visit index from the
-    circle's base point, level of the entering edge)."""
+    circle's first edge, level of the entering edge)."""
     out = []
     for eid in v.below:
         e = g.edges[eid]
         c = g.circles[e.circle]
-        head = (c.edges.index(eid) + 1) % len(c.edges)
-        idx = (head - bases.get(c.id, 0)) % len(c.edges) + 1
-        out.append((markings[c.id], idx, e.level))
+        idx = (c.edges.index(eid) + 1) % len(c.edges) + 1
+        out.append((c.marking, idx, e.level))
     return tuple(out)
 
 
-def trace_code(g: TraceGraph, base_points: Optional[dict[int, int]] = None) -> TraceCode:
-    """The trace code for explicit base points (circle id -> offset, zero
-    where omitted) and the construction's marking representatives."""
-    bases = base_points or {}
-    markings = {c.id: c.marking for c in g.circles.values()}
-    piece1 = tuple(
-        vertex_triplet(g, v, bases, markings) for v in g.vertices.values()
-    )
-    att = lv.attractor_profile(g)
-    mx = lv.maximal_profile(g)
+def trace_code(g: TraceGraph) -> TraceCode:
+    """The trace code for the construction's base points and marking
+    representatives.  Each level subgraph is built once, for both
+    profiles."""
+    piece1 = tuple(vertex_triplet(g, v) for v in g.vertices.values())
+    levels = [lv.level_subgraph(g, k) for k in range(1, g.n)]
+    att = lv.attractor_profile(levels)
+    mx = lv.maximal_profile(levels)
     piece2 = tuple(att[k] for k in range(1, g.n))
     piece3 = tuple(mx[k] for k in range(1, g.n))
     free = []
@@ -416,7 +408,9 @@ def _eliminate_inplace(
     g: TraceGraph, t: Trihedron
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Eliminate a validated trihedron in place; returns the removed
-    (edge, tail, head) triples and the ids of the spliced edges.
+    (edge, tail, head) triples and the ids of the spliced edges.  Records
+    are shared with the graph's copies, so changed ones are replaced,
+    never mutated.
 
     A circle whose only outside edge is pred == succ closes into a
     vertex-free loop, which takes that outside edge's level.  That level
@@ -460,8 +454,11 @@ def _eliminate_inplace(
             # rewire rotation data at the surviving endpoints
             for vid, old in ((ep.tail, pred), (es.head, succ)):
                 v = g.vertices[vid]
-                v.below = tuple(new_id if x == old else x for x in v.below)
-                v.above = tuple(new_id if x == old else x for x in v.above)
+                g.vertices[vid] = replace(
+                    v,
+                    below=tuple(new_id if x == old else x for x in v.below),
+                    above=tuple(new_id if x == old else x for x in v.above),
+                )
             removed.append((eid, e.tail, e.head))
             removed.append((pred, ep.tail, ep.head))
             removed.append((succ, es.tail, es.head))
@@ -586,7 +583,8 @@ def _level_closed_loops(g: TraceGraph) -> None:
     for c in g.circles.values():
         e = g.edges[c.edges[0]]
         if e.tail is None and len(levels_of[c.id]) == 1:
-            (e.level,) = levels_of[c.id]
+            (level,) = levels_of[c.id]
+            g.edges[e.id] = replace(e, level=level)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,13 @@ the time circle) is eventually periodic; its limit cycles are the right
 attractors.  Homology classes live in Z^2 as (vertical winding, winding
 opposite to the time circle) = (sum dz, -sum dt / 2pi).
 
+Every class is read from the level's integer lift offsets, computed once
+by `level_subgraph`: a spanning forest's (z, t) potentials lift each
+vertex to the Z^2 cover, an edge's offset is the class of its lift, and
+the class of any cycle is the signed sum of its edges' offsets.
+Attractors, degeneracy, the class polygon and the reference cycle search
+all sum those integers.
+
 Maximal classes are read from a polygon, not from a cycle enumeration.
 A unit circulation of a level is an integer flow with values in
 {-1, 0, 1} and conservation at every vertex; its class is the signed sum
@@ -57,10 +64,6 @@ class DegenerateSubgraphError(ValueError):
     pass
 
 
-class MaximalClassError(RuntimeError):
-    """No non-trivial cycle achieves M != 0; flagged, never silently handled."""
-
-
 HomologyClass = tuple[int, int]
 
 
@@ -73,6 +76,7 @@ class LevelSubgraph:
     down_of: dict  # vertex -> tuple of level-k edges descending from it, increasing t
     up_of: dict    # vertex -> tuple of level-k edges rising from it, increasing t
     loops: tuple[int, ...]  # closed-loop edges (vertex-free circles) of this level
+    offsets: dict  # edge -> integer lift offset, for every edge off the spanning forest
 
 
 @dataclass(frozen=True)
@@ -103,16 +107,59 @@ def level_subgraph(g: TraceGraph, k: int) -> LevelSubgraph:
         down_of[v.id] = down
         up_of[v.id] = up
     loops = tuple(e for e in edges if g.edges[e].tail is None)
-    return LevelSubgraph(k, g, edges, tuple(vertices), down_of, up_of, loops)
+    return LevelSubgraph(
+        k, g, edges, tuple(vertices), down_of, up_of, loops,
+        _lift_offsets(g, edges, vertices),
+    )
 
 
-def _edge_class(g: TraceGraph, edges: list[tuple[int, int]]) -> HomologyClass:
-    """Homology class of a directed edge cycle; entries are (edge id, +-1)."""
-    u = sum(d * g.edges[e].dz for e, d in edges)
-    w = -sum(d * g.edges[e].dt for e, d in edges) / TWO_PI
-    ru, rw = round(u), round(w)
-    assert abs(u - ru) < 1e-6 and abs(w - rw) < 1e-6, "cycle class is not integral"
-    return (ru, rw)
+def _lift_offsets(
+    g: TraceGraph, edges: tuple[int, ...], vertices: list[int]
+) -> dict[int, HomologyClass]:
+    """Integer lift offsets of the edges that leave a spanning forest of a
+    level subgraph (closed loops and self loops included).
+
+    The forest's (z, t) potentials fix a lift of every vertex to the Z^2
+    cover; an edge's offset is the class of its lift from its tail's lift
+    to its head's.  Forest edges have offset (0, 0) and are left out, the
+    others' offsets are the classes of their fundamental cycles, and the
+    class of any cycle is the signed sum of its edges' offsets."""
+    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in vertices}
+    for e in edges:
+        te, he = g.edges[e].tail, g.edges[e].head
+        if te is not None and te != he:
+            adj[te].append((e, he, 1))
+            adj[he].append((e, te, -1))
+    pot: dict[int, tuple[float, float]] = {}
+    in_tree: set[int] = set()
+    for start in vertices:
+        if start in pot:
+            continue
+        pot[start] = (0.0, 0.0)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for e, other, d in adj[v]:
+                if other in pot or e in in_tree:
+                    continue
+                edge = g.edges[e]
+                pot[other] = (pot[v][0] + d * edge.dz, pot[v][1] + d * edge.dt)
+                in_tree.add(e)
+                stack.append(other)
+    offsets: dict[int, HomologyClass] = {}
+    for e in edges:
+        if e in in_tree:
+            continue
+        edge = g.edges[e]
+        z, t = edge.dz, edge.dt
+        if edge.tail is not None:
+            z += pot[edge.tail][0] - pot[edge.head][0]
+            t += pot[edge.tail][1] - pot[edge.head][1]
+        u, w = z, -t / TWO_PI
+        ru, rw = round(u), round(w)
+        assert abs(u - ru) < 1e-6 and abs(w - rw) < 1e-6, "cycle class is not integral"
+        offsets[e] = (ru, rw)
+    return offsets
 
 
 def right_attractors(s: LevelSubgraph) -> list[RightAttractor]:
@@ -143,7 +190,8 @@ def right_attractors(s: LevelSubgraph) -> list[RightAttractor]:
             cyc = path[pos[e]:]
             m = cyc.index(min(cyc))
             cyc = cyc[m:] + cyc[:m]
-            cls = _edge_class(g, [(x, 1) for x in cyc])
+            offsets = [s.offsets.get(x, (0, 0)) for x in cyc]
+            cls = (sum(u for u, _ in offsets), sum(w for _, w in offsets))
             assert cls[0] > 0, "attractor must wind positively in z"
             assert not seen_cycle_edges & set(cyc)
             seen_cycle_edges.update(cyc)
@@ -151,7 +199,7 @@ def right_attractors(s: LevelSubgraph) -> list[RightAttractor]:
         for x in path:
             state[x] = 1
     for e in s.loops:
-        cls = _edge_class(g, [(e, 1)])
+        cls = s.offsets[e]
         assert cls[0] > 0
         attractors.append(RightAttractor((e,), cls))
     attractors.sort(key=lambda a: a.edges)
@@ -179,54 +227,6 @@ def _unpack(p: int) -> HomologyClass:
     return (u, p - u * _PACK)
 
 
-def _lift_offsets(s: LevelSubgraph) -> dict[int, HomologyClass]:
-    """Integer lift offsets of the edges that leave a spanning forest of the
-    level subgraph (closed loops and self loops included).
-
-    The forest's (z, t) potentials fix a lift of every vertex to the Z^2
-    cover; an edge's offset is the class of its lift from its tail's lift
-    to its head's.  Forest edges have offset (0, 0) and are left out, the
-    others' offsets are the classes of their fundamental cycles, and the
-    class of any cycle is the signed sum of its edges' offsets."""
-    g = s.graph
-    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in s.vertices}
-    for e in s.edges:
-        te, he = g.edges[e].tail, g.edges[e].head
-        if te is not None and te != he:
-            adj[te].append((e, he, 1))
-            adj[he].append((e, te, -1))
-    pot: dict[int, tuple[float, float]] = {}
-    in_tree: set[int] = set()
-    for start in s.vertices:
-        if start in pot:
-            continue
-        pot[start] = (0.0, 0.0)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e, other, d in adj[v]:
-                if other in pot or e in in_tree:
-                    continue
-                edge = g.edges[e]
-                pot[other] = (pot[v][0] + d * edge.dz, pot[v][1] + d * edge.dt)
-                in_tree.add(e)
-                stack.append(other)
-    offsets: dict[int, HomologyClass] = {}
-    for e in s.edges:
-        if e in in_tree:
-            continue
-        edge = g.edges[e]
-        z, t = edge.dz, edge.dt
-        if edge.tail is not None:
-            z += pot[edge.tail][0] - pot[edge.head][0]
-            t += pot[edge.tail][1] - pot[edge.head][1]
-        u, w = z, -t / TWO_PI
-        ru, rw = round(u), round(w)
-        assert abs(u - ru) < 1e-6 and abs(w - rw) < 1e-6, "cycle class is not integral"
-        offsets[e] = (ru, rw)
-    return offsets
-
-
 def _cycle_search(s: LevelSubgraph, budget: int, listing: bool):
     """The simple-cycle search behind `simple_cycles` and `cycle_classes`.
 
@@ -245,9 +245,8 @@ def _cycle_search(s: LevelSubgraph, budget: int, listing: bool):
     restarts and prunes every branch that can no longer close, which is
     output-bounded."""
     g = s.graph
-    offsets = _lift_offsets(s)
-    assert sum(abs(w) for _, w in offsets.values()) < _PACK // 2
-    packed = {e: _pack(c) for e, c in offsets.items()}
+    assert sum(abs(w) for _, w in s.offsets.values()) < _PACK // 2
+    packed = {e: _pack(c) for e, c in s.offsets.items()}
     found: list | set = [] if listing else set()
     path: list[tuple[int, int]] = []
     count = 0
@@ -348,21 +347,15 @@ def cycle_classes(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> set[HomologyC
     return {_unpack(p) for p in _cycle_search(s, budget, listing=False)}
 
 
-def fundamental_classes(s: LevelSubgraph) -> list[HomologyClass]:
-    """Classes of the fundamental cycles of a spanning forest, plus closed
-    loops and self loops.  Fundamental cycles are simple and span the whole
-    class lattice of the subgraph."""
-    return list(_lift_offsets(s).values())
-
-
 def is_degenerate(s: LevelSubgraph) -> bool:
     """True when all non-trivial cycle classes are pairwise dependent.
 
-    Decided from fundamental classes: they are simple cycles themselves and
-    span the class lattice, so the simple-cycle classes have rank >= 2
-    exactly when the fundamental ones do."""
+    Decided from the lift offsets, the classes of the fundamental cycles of
+    a spanning forest and of the closed loops and self loops: these are
+    simple cycles themselves and span the class lattice, so the simple-cycle
+    classes have rank >= 2 exactly when the offsets do."""
     base: Optional[HomologyClass] = None
-    for cls in fundamental_classes(s):
+    for cls in s.offsets.values():
         if cls == (0, 0):
             continue
         if base is None:
@@ -440,14 +433,13 @@ def _class_polygon(s: LevelSubgraph) -> list[HomologyClass]:
     its outward normal until the oracle finds nothing beyond it.  P is
     centrally symmetric, so that arc and its mirror image span it."""
     g = s.graph
-    offsets = _lift_offsets(s)
     index = {v: i for i, v in enumerate(s.vertices)}
     adj: list[list[tuple[int, int, int]]] = [[] for _ in s.vertices]
     arcs: list[HomologyClass] = []  # offsets of the edges between vertices
     free: list[HomologyClass] = []  # offsets of closed loops and self loops
     for e in s.edges:
         te, he = g.edges[e].tail, g.edges[e].head
-        off = offsets.get(e, (0, 0))
+        off = s.offsets.get(e, (0, 0))
         if te is None or te == he:
             free.append(off)
         else:
@@ -532,15 +524,14 @@ def maximal_class(s: LevelSubgraph, attractor_class: HomologyClass) -> HomologyC
     disjoint union of simple cycles, disjoint essential cycles on the
     torus are parallel, and the polygon's lattice points are all classes
     of unit circulations (module docstring; Chambers, Erickson and
-    Nayyeri 2012)."""
+    Nayyeri 2012).
+
+    Some class has M != 0: the attractor class has M = 0, so M = 0 is the
+    line through it, and a non-degenerate level has a class off that line."""
+    if is_degenerate(s):
+        raise DegenerateSubgraphError("degenerate level subgraph has no maximal class")
     q, r = attractor_class
     assert q > 0
-    classes = simple_cycle_classes(s)
-    if not classes:
-        raise DegenerateSubgraphError("no non-trivial cycles")
-    base = next(iter(classes))
-    if all(base[0] * c[1] - base[1] * c[0] == 0 for c in classes):
-        raise DegenerateSubgraphError("degenerate level subgraph has no maximal class")
 
     def m_value(c: HomologyClass) -> Fraction:
         u, w = c
@@ -548,33 +539,25 @@ def maximal_class(s: LevelSubgraph, attractor_class: HomologyClass) -> HomologyC
             return Fraction(w)
         return Fraction(u, q) - Fraction(w, r)
 
-    nonzero = [c for c in classes if m_value(c) != 0]
-    if not nonzero:
-        raise MaximalClassError("all non-trivial cycles have M = 0")
+    nonzero = [c for c in simple_cycle_classes(s) if m_value(c) != 0]
     best_m = max(m_value(c) for c in nonzero)
     candidates = [c for c in nonzero if m_value(c) == best_m]
     return max(candidates, key=lambda c: c[0])
 
 
-def attractor_profile(g: TraceGraph) -> dict[int, tuple[HomologyClass, ...]]:
+def attractor_profile(levels: list[LevelSubgraph]) -> dict[int, tuple[HomologyClass, ...]]:
     """Sorted attractor classes per level (the trace code's second piece)."""
-    out = {}
-    for k in range(1, g.n):
-        s = level_subgraph(g, k)
-        out[k] = tuple(sorted(a.homology for a in right_attractors(s)))
-    return out
+    return {s.level: tuple(sorted(a.homology for a in right_attractors(s))) for s in levels}
 
 
-def maximal_profile(g: TraceGraph) -> dict[int, Optional[HomologyClass]]:
+def maximal_profile(levels: list[LevelSubgraph]) -> dict[int, Optional[HomologyClass]]:
     """Maximal class per level; None marks a degenerate level (the trace
     code's third piece omits those)."""
     out = {}
-    for k in range(1, g.n):
-        s = level_subgraph(g, k)
+    for s in levels:
         if is_degenerate(s):
-            out[k] = None
-            continue
-        attractors = right_attractors(s)
-        classes = sorted({a.homology for a in attractors})
-        out[k] = maximal_class(s, classes[0])
+            out[s.level] = None
+        else:
+            attractor = min(a.homology for a in right_attractors(s))
+            out[s.level] = maximal_class(s, attractor)
     return out

@@ -125,19 +125,18 @@ class TraceGraph:
         return out
 
     def copy(self) -> "TraceGraph":
-        return TraceGraph(
-            self.n,
-            self.word,
-            self.cycles,
-            {k: replace(v) for k, v in self.vertices.items()},
-            {k: replace(e) for k, e in self.edges.items()},
-            {k: replace(c) for k, c in self.circles.items()},
-            dict(self.vertex_partner),
-            dict(self.edge_partner),
-            dict(self.circle_partner),
-            dict(self.pass_circle),
-            self.paths,
-            self.reduced_from,
+        """A copy that shares the vertex, edge and circle records: a record
+        is never mutated once its graph is returned (a change replaces
+        it), so only the dicts are copied."""
+        return replace(
+            self,
+            vertices=dict(self.vertices),
+            edges=dict(self.edges),
+            circles=dict(self.circles),
+            vertex_partner=dict(self.vertex_partner),
+            edge_partner=dict(self.edge_partner),
+            circle_partner=dict(self.circle_partner),
+            pass_circle=dict(self.pass_circle),
         )
 
 
@@ -421,6 +420,13 @@ def _assign_markings(graph: TraceGraph) -> None:
     mixed family the cyclic shift is anchored so that the family's first
     circle met at the t=0 fiber (scanning z upward) gets [1]; families that
     never meet that fiber fall back to the smallest raw difference.
+
+    The t=0 fiber is the diagram of the word, one crossing per letter, of
+    its two movers, in letter order; so the anchor is read from the
+    letters: the first letter whose movers lie in the family's two
+    components.  Either circle of the movers gives the same shift, since
+    the index difference of a pair is constant mod gcd along its orbit and
+    the partner circle's is its negative.
     """
     cs = graph.cycles
     by_family: dict[frozenset, list[TraceCircle]] = {}
@@ -434,11 +440,11 @@ def _assign_markings(graph: TraceGraph) -> None:
         return
 
     first_seen: dict[frozenset, TraceCircle] = {}
-    if graph.paths.length > 0:
-        for cr in read_fiber(graph, 0.0):
-            fam = frozenset(cr.comp_pair)
-            if len(fam) == 2 and fam not in first_seen:
-                first_seen[fam] = graph.circles[cr.circle]
+    for m in range(graph.paths.length):
+        c = graph.circles[graph.pass_circle[graph.paths.movers(m)]]
+        fam = frozenset(c.comp_pair)
+        if len(fam) == 2 and fam not in first_seen:
+            first_seen[fam] = c
     for fam, members in by_family.items():
         i, j = sorted(fam)
         g = math.gcd(cs.lengths[i - 1], cs.lengths[j - 1])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from braidtrace import equivalence as eq
-from braidtrace.levels import CYCLE_BUDGET, _edge_class, simple_cycles
+from braidtrace.levels import CYCLE_BUDGET, simple_cycles
 from braidtrace.oracle import Laurent, _ball_elements, burau3, mat_key, mat_mul
 from braidtrace.threebraid import TripletColumn, minimal_rotation
 from braidtrace.words import BraidWord
@@ -41,6 +41,9 @@ def _arc_adjacency(s):
 
 
 def _cls(g, edges):
+    """Oriented class of a directed edge cycle, entries (edge id, +-1),
+    summed in floating point from the edges' lift displacements: the
+    reference for the package's integer lift-offset classes."""
     u = sum(d * g.edges[e].dz for e, d in edges)
     w = -sum(d * g.edges[e].dt for e, d in edges) / TWO_PI
     ru, rw = round(u), round(w)
@@ -192,19 +195,11 @@ def brute_maximal_class(s, attractor_class, classes=None):
     return max((c for c in nonzero if m_value(c) == best), key=lambda c: c[0])
 
 
-def oriented_class(cls):
-    """Orient so the vertical winding is non-negative (then the horizontal)."""
-    u, w = cls
-    if u < 0 or (u == 0 and w < 0):
-        return (-u, -w)
-    return (u, w)
-
-
 def is_degenerate_by_enumeration(s, budget: int = CYCLE_BUDGET) -> bool:
     """Degeneracy decided over an explicit simple-cycle sweep."""
     base = None
     for cyc in simple_cycles(s, budget):
-        cls = oriented_class(_edge_class(s.graph, cyc))
+        cls = _cls(s.graph, cyc)
         if cls == (0, 0):
             continue
         if base is None:

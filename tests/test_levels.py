@@ -3,10 +3,10 @@ import random
 
 import pytest
 from helpers import (
+    _cls,
     brute_maximal_class,
     is_degenerate_by_enumeration,
     johnson_cycle_classes,
-    oriented_class,
     subset_cycle_classes,
 )
 
@@ -121,7 +121,7 @@ class TestCycleClasses:
             g = build_trace_graph(parse_word(text, n))
             for k in range(1, n):
                 s = lv.level_subgraph(g, k)
-                mine = {oriented_class(lv._edge_class(g, c)) for c in lv.simple_cycles(s)}
+                mine = {_cls(g, c) for c in lv.simple_cycles(s)}
                 assert mine == johnson_cycle_classes(s)
                 if len(s.edges) <= 16:
                     assert mine == subset_cycle_classes(s)
@@ -154,6 +154,11 @@ class TestCycleSearchDifferential:
         for s in nondeg:
             att = sorted({a.homology for a in lv.right_attractors(s)})[0]
             assert lv.maximal_class(s, att) == brute_maximal_class(s, att)
+
+    def test_attractor_classes_match_float_sums(self, reduced_levels):
+        for s in reduced_levels:
+            for a in lv.right_attractors(s):
+                assert a.homology == _cls(s.graph, [(e, 1) for e in a.edges])
 
     def test_cycles_are_distinct_edge_sets(self, reduced_levels):
         for s in reduced_levels:
@@ -209,7 +214,7 @@ class TestClassPolygon:
         ones = [
             {g.edges[e].tail for e, _ in c}
             for c in lv.simple_cycles(witness)
-            if oriented_class(lv._edge_class(g, c)) == (1, 0)
+            if _cls(g, c) == (1, 0)
         ]
         assert any(not a & b for a, b in itertools.combinations(ones, 2))
 
@@ -234,7 +239,8 @@ class TestScaling:
             g = reduce(build_trace_graph(random_word(n, l, rng)))
             assert eq.isotopic(g, g).equal, (n, l)
             if (n, l) in self.PROFILES:
-                assert lv.maximal_profile(g) == self.PROFILES[n, l], (n, l)
+                levels = [lv.level_subgraph(g, k) for k in range(1, n)]
+                assert lv.maximal_profile(levels) == self.PROFILES[n, l], (n, l)
 
 
 class TestMaximalClass:
@@ -265,10 +271,11 @@ class TestMaximalClass:
 
     def test_profiles_levels_complete(self):
         g = build_trace_graph(parse_word("(s1 s2^-1)^3", 3))
-        att = lv.attractor_profile(g)
+        levels = [lv.level_subgraph(g, k) for k in (1, 2)]
+        att = lv.attractor_profile(levels)
         assert sorted(att) == [1, 2]
         assert all(att[k] for k in att)
-        mx = lv.maximal_profile(g)
+        mx = lv.maximal_profile(levels)
         assert mx == {1: (1, 3), 2: (1, 3)}
 
 

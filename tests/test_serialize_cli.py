@@ -186,8 +186,8 @@ class TestCli:
     def test_export_dot(self, tmp_path):
         a = tmp_path / "a.json"
         run_cli("build", "--word", "s1", "--strands", "3", "--out", str(a))
-        r1 = run_cli("export", str(a), "--dot")
-        r2 = run_cli("export", str(a), "--dot")
+        r1 = run_cli("export", str(a))
+        r2 = run_cli("export", str(a))
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout.startswith("digraph")

@@ -5,7 +5,7 @@ import pytest
 
 from braidtrace import oracle
 from braidtrace.checks import run_structure_checks
-from braidtrace.embedding import wrap_pm_pi
+from braidtrace.embedding import GenericityError, letter_geometry, strand_paths, wrap_pm_pi
 from braidtrace.tracegraph import (
     Marking,
     SingularFiberError,
@@ -176,6 +176,26 @@ class TestFibers:
                 assert lo == hi
             elif "extremum" in reason:
                 assert abs(lo - hi) == 2
+
+    def test_single_letter_fiber_at_zero_is_one_crossing_of_its_movers(self):
+        # the builder reads each mixed family's marking anchor from the
+        # letters, because the t=0 fiber is the word's diagram: within a
+        # letter's window the movers follow that letter's geometry and every
+        # other strand rests at its slot, so one-letter words cover it
+        skipped = []
+        for n in range(2, 13):
+            for slot in range(1, n):
+                for sign in (1, -1):
+                    try:
+                        letter_geometry(n, slot, sign)
+                    except GenericityError:
+                        skipped.append(n)
+                        continue
+                    paths = strand_paths(BraidWord(n, ((slot, sign),)))
+                    (crossing,) = read_fiber(paths, 0.0)
+                    assert {crossing.over, crossing.under} == set(paths.movers(0))
+        # the known genericity limit starts at nine strands
+        assert min(skipped, default=9) >= 9
 
     def test_generic_fiber_word_conjugate_to_input(self, rng):
         w = parse_word("s1 s2^-1", 3)
