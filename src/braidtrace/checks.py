@@ -8,6 +8,7 @@ sweep.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import levels as lv
@@ -114,7 +115,7 @@ def _attractor_checks(g: TraceGraph) -> tuple[bool, str, list[str]]:
         s = lv.level_subgraph(g, k)
         if not s.edges:
             return False, f"level {k} subgraph is empty", warnings
-        ats = lv.right_attractors(s)
+        ats = s.attractors
         if not ats:
             return False, f"level {k} has no right attractor", warnings
         used = set()
@@ -137,13 +138,14 @@ def _attractor_checks(g: TraceGraph) -> tuple[bool, str, list[str]]:
 
 def _sampled_injectivity(g: TraceGraph, per_pass: int = 24, tol: float = 1e-5) -> bool:
     """Sample the crossing curves and look for same-level coincidences in
-    (z, t) away from vertices."""
+    (z, t) away from vertices.  A sample is near a vertex when it lies
+    within 0.02 in z and 0.2 in t; the vertices are sorted by z, so only
+    those within a slightly wider z range are tested."""
     paths = g.paths
     from .tracegraph import _level_of_pair
-    from .words import permutation
 
-    perm = permutation(g.word)
-    vertex_spots = [(v.z, v.t) for v in g.vertices.values()]
+    vertex_spots = sorted((v.z, v.t) for v in g.vertices.values())
+    spot_z = [vz for vz, _ in vertex_spots]
     samples: dict[int, list] = {}
     for (a, b), cid in g.pass_circle.items():
         for i in range(per_pass):
@@ -151,7 +153,8 @@ def _sampled_injectivity(g: TraceGraph, per_pass: int = 24, tol: float = 1e-5) -
             pa = paths.track_position(a, z)
             pb = paths.track_position(b, z)
             t = t_over(pa, pb)
-            if any(abs(z - vz) < 0.02 and abs(wrap_pm_pi(t - vt)) < 0.2 for vz, vt in vertex_spots):
+            near = vertex_spots[bisect_left(spot_z, z - 0.03):bisect_right(spot_z, z + 0.03)]
+            if any(abs(z - vz) < 0.02 and abs(wrap_pm_pi(t - vt)) < 0.2 for vz, vt in near):
                 continue
             lvl = _level_of_pair(paths, a, b, z)
             samples.setdefault(lvl, []).append((z, t, (a, b)))

@@ -31,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .words import BraidWord, strand_positions
 
@@ -306,6 +307,9 @@ class LetterGeometry:
     chord_angle: float
     trisecants: tuple[TrisecantEvent, ...]
     extrema: tuple[ExtremumEvent, ...]
+    # (mover, spectator slot) -> direction from the slot point to the mover
+    # at s = 0 and at s = 1: tile constants, by the expression used at any s
+    sight_angles: dict[tuple[str, int], tuple[float, float]]
 
     def u(self, s: float) -> tuple[float, float]:
         pts = slot_angles(self.n).points
@@ -358,14 +362,19 @@ class LetterGeometry:
         e2 = self.eta(s2) if s2 < 1.0 else -self.sign * math.pi
         return -(e2 - e1)
 
-    def mover_spectator_delta_t(self, mover: str, slot_pt, s1: float, s2: float) -> float:
-        """t-displacement of (mover, stationary point) over [s1, s2]; the
-        sight-line cone is narrower than pi, so the principal wrap is exact."""
-        f = self.u if mover == "u" else self.v
-        p1, p2 = f(s1), f(s2)
-        th1 = math.atan2(p1[1] - slot_pt[1], p1[0] - slot_pt[0])
-        th2 = math.atan2(p2[1] - slot_pt[1], p2[0] - slot_pt[0])
+    def mover_spectator_delta_t(self, mover: str, slot: int, s1: float, s2: float) -> float:
+        """t-displacement of (mover, the point of spectator slot `slot`) over
+        [s1, s2]; the sight-line cone is narrower than pi, so the principal
+        wrap is exact.  Window ends read the tile's `sight_angles`."""
+        ends = self.sight_angles[mover, slot]
+        th1 = ends[0] if s1 == 0.0 else self._sight_angle(mover, slot, s1)
+        th2 = ends[1] if s2 == 1.0 else self._sight_angle(mover, slot, s2)
         return -wrap_pm_pi(th2 - th1)
+
+    def _sight_angle(self, mover: str, slot: int, s: float) -> float:
+        x, y = self.u(s) if mover == "u" else self.v(s)
+        slot_pt = slot_angles(self.n).points[slot - 1]
+        return math.atan2(y - slot_pt[1], x - slot_pt[0])
 
 
 def _slope_mover_spectator(geom: LetterGeometry, mover: str, slot_pt, s: float) -> float:
@@ -396,7 +405,7 @@ def letter_geometry(n: int, slot: int, sign: int) -> LetterGeometry:
     mid = ((qi[0] + qi1[0]) / 2, (qi[1] + qi1[1]) / 2)
 
     geom = LetterGeometry(
-        n, slot, sign, delta, chord, clen, normal, chord_angle, (), ()
+        n, slot, sign, delta, chord, clen, normal, chord_angle, (), (), {}
     )
 
     # trisecants: the moving line through the fixed midpoint sweeps every
@@ -460,9 +469,15 @@ def letter_geometry(n: int, slot: int, sign: int) -> LetterGeometry:
                     t0 = wrap_pi(math.pi / 2 - math.atan2(p[1] - spt[1], p[0] - spt[0]))
                     extrema.append(ExtremumEvent(mover, j, s_ext, t0))
 
+    sight_angles = {
+        (mover, j): (geom._sight_angle(mover, j, 0.0), geom._sight_angle(mover, j, 1.0))
+        for mover in ("u", "v")
+        for j in range(1, n + 1)
+        if j not in (slot, slot + 1)
+    }
     return LetterGeometry(
         n, slot, sign, delta, chord, clen, normal, chord_angle,
-        tuple(events), tuple(extrema),
+        tuple(events), tuple(extrema), sight_angles,
     )
 
 
@@ -484,6 +499,7 @@ class StrandPathSet:
     occ: tuple[tuple[int, ...], ...]       # occupancy before each letter, plus top
     pos_of: tuple[tuple[int, ...], ...]    # pos_of[m][track-1] = slot position
     geoms: tuple[LetterGeometry, ...]
+    moving: dict[tuple[int, int], tuple[int, ...]]  # (a, b) -> windows where a or b moves, increasing
 
     @property
     def n(self) -> int:
@@ -543,8 +559,37 @@ class StrandPathSet:
             return (0.0, 0.0)
         return (vx * scale, vy * scale)
 
+    def _slab(self, z: float) -> tuple[int, float]:
+        """(m, fraction of slab m) at height z, for a non-empty word."""
+        l = len(self.word.letters)
+        z = z % 1.0
+        m = min(int(z * l), l - 1)
+        return m, z * l - m
+
+    def resting_slots(self, z: float) -> Optional[tuple[int, ...]]:
+        """pos_of at height z when z lies outside every exchange window, so
+        that every track rests at a slot point; None inside a window."""
+        if not self.word.letters:
+            return self.pos_of[0]
+        m, frac = self._slab(z)
+        if frac < 1 / 3:
+            return self.pos_of[m]
+        if frac >= 2 / 3:
+            return self.pos_of[m + 1]
+        return None
+
     def positions_at(self, z: float) -> list[tuple[float, float]]:
-        return [self.track_position(tr, z) for tr in range(1, self.n + 1)]
+        """Every track's `track_position` at z, indexed by track - 1."""
+        pts = self.placement.points
+        slots = self.resting_slots(z)
+        if slots is not None:
+            return [pts[p - 1] for p in slots]
+        m, frac = self._slab(z)
+        i = self.word.letters[m][0]
+        out = [pts[p - 1] for p in self.pos_of[m]]
+        out[self.occ[m][i - 1] - 1] = self.geoms[m].u(3 * frac - 1)
+        out[self.occ[m][i] - 1] = self.geoms[m].v(3 * frac - 1)
+        return out
 
 
 def strand_paths(w: BraidWord) -> StrandPathSet:
@@ -558,4 +603,12 @@ def strand_paths(w: BraidWord) -> StrandPathSet:
             inv[tr - 1] = p
         pos_of.append(tuple(inv))
     geoms = tuple(letter_geometry(w.n, i, s) for i, s in w.letters)
-    return StrandPathSet(w, placement, bump_amplitude(w.n), occ, tuple(pos_of), geoms)
+    by_track: list[set[int]] = [set() for _ in range(w.n)]
+    for m, (i, _) in enumerate(w.letters):
+        by_track[occ[m][i - 1] - 1].add(m)
+        by_track[occ[m][i] - 1].add(m)
+    moving = {}
+    for a in range(1, w.n + 1):
+        for b in range(a + 1, w.n + 1):
+            moving[a, b] = moving[b, a] = tuple(sorted(by_track[a - 1] | by_track[b - 1]))
+    return StrandPathSet(w, placement, bump_amplitude(w.n), occ, tuple(pos_of), geoms, moving)

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -77,6 +78,11 @@ class LevelSubgraph:
     up_of: dict    # vertex -> tuple of level-k edges rising from it, increasing t
     loops: tuple[int, ...]  # closed-loop edges (vertex-free circles) of this level
     offsets: dict  # edge -> integer lift offset, for every edge off the spanning forest
+
+    @cached_property
+    def attractors(self) -> tuple["RightAttractor", ...]:
+        """`right_attractors` of this level, computed once."""
+        return tuple(right_attractors(self))
 
 
 @dataclass(frozen=True)
@@ -547,7 +553,7 @@ def maximal_class(s: LevelSubgraph, attractor_class: HomologyClass) -> HomologyC
 
 def attractor_profile(levels: list[LevelSubgraph]) -> dict[int, tuple[HomologyClass, ...]]:
     """Sorted attractor classes per level (the trace code's second piece)."""
-    return {s.level: tuple(sorted(a.homology for a in right_attractors(s))) for s in levels}
+    return {s.level: tuple(sorted(a.homology for a in s.attractors)) for s in levels}
 
 
 def maximal_profile(levels: list[LevelSubgraph]) -> dict[int, Optional[HomologyClass]]:
@@ -558,6 +564,6 @@ def maximal_profile(levels: list[LevelSubgraph]) -> dict[int, Optional[HomologyC
         if is_degenerate(s):
             out[s.level] = None
         else:
-            attractor = min(a.homology for a in right_attractors(s))
+            attractor = min(a.homology for a in s.attractors)
             out[s.level] = maximal_class(s, attractor)
     return out

@@ -27,7 +27,58 @@ class SchemaError(ValueError):
     pass
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+_INT_ONLY = {int}
+_STR_ONLY = {str}
+# dict key tuple (insertion order) -> (sorted keys, their encoded "key:" prefixes),
+# for dicts of at most _SHAPE_KEYS keys: every record has at most 10, while the
+# index maps of larger graphs are longer and rarely repeat their key order.
+# The first _SHAPE_CACHE shapes are kept, so memory stays bounded.
+_SHAPE_KEYS = 12
+_SHAPE_CACHE = 16
+_shapes: dict[tuple, tuple[list, list[str]]] = {}
+
+
 def _fmt(value) -> str:
+    """Dispatch on the exact type; None, booleans, subclasses, dicts with
+    other than string keys and unsupported types take `_fmt_any`."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float:
+        return f"{value:.12g}"
+    if kind is str:
+        return _encode_str(value)
+    if kind is list or kind is tuple:
+        if {*map(type, value)} == _INT_ONLY:
+            return "[" + ",".join(map(str, value)) + "]"
+        return "[" + ",".join([_fmt(x) for x in value]) + "]"
+    if kind is dict:
+        return _fmt_dict(value)
+    return _fmt_any(value)
+
+
+def _fmt_dict(value: dict) -> str:
+    if not value or {*map(type, value)} != _STR_ONLY:
+        return _fmt_any(value)
+    if len(value) > _SHAPE_KEYS:
+        keys = sorted(value)
+        prefixes = [_encode_str(k) + ":" for k in keys]
+    else:
+        shape = tuple(value)
+        hit = _shapes.get(shape)
+        if hit is None:
+            keys = sorted(shape)
+            hit = (keys, [_encode_str(k) + ":" for k in keys])
+            if len(_shapes) < _SHAPE_CACHE:
+                _shapes[shape] = hit
+        keys, prefixes = hit
+    return "{" + ",".join([p + _fmt(value[k]) for k, p in zip(keys, prefixes)]) + "}"
+
+
+def _fmt_any(value) -> str:
+    """The writer by isinstance, for what `_fmt` does not dispatch; raises
+    TypeError on a type JSON cannot hold."""
     if value is None:
         return "null"
     if value is True:

@@ -8,12 +8,34 @@ pairs under the closure permutation.  Every edge carries its exact lift
 displacement (dz, dt) and its level; every vertex stores the local
 t-order of its six edge ends, which is the only data later "left/right/
 middle" decisions consult.
+
+The builder assembles a word's graph from per-letter tile constants, each
+a function of (n, slot, sign) alone, and every float it stores is the
+double the direct computation gives:
+
+- `_vertex_tile` holds a letter's triple vertices as read from
+  `letter_geometry`; its z offset (1 + s)/3 and second lift t0 + pi are
+  the expressions the direct computation evaluates.
+- `LetterGeometry.sight_angles` holds the direction from a spectator slot
+  to a mover at s = 0 and s = 1.  A pass that reaches a window's start or
+  end has s = (ws - ws)/(we - ws) = 0.0 or (we - ws)/(we - ws) = 1.0 with
+  no rounding, so the constant is the value the same expression gives
+  there, and each edge's dt keeps its addends and their order.
+- `_resting_level`: outside every exchange window each track rests at a
+  slot point, so the level of a pair there is an integer function of
+  (n, slot of a, slot of b).
+- `StrandPathSet.moving` lists the windows in which a pair's tracks move;
+  `_delta_t_along` skips only windows that add nothing and visits the
+  others in increasing m, as a scan of every window would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import embedding as emb
@@ -21,8 +43,9 @@ from .embedding import (
     EVENT_SEP,
     GenericityError,
     StrandPathSet,
-    rot_x,
+    letter_geometry,
     rot_y,
+    slot_angles,
     strand_paths,
     t_over,
     wrap_pi,
@@ -179,23 +202,14 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
         geom = paths.geoms[m]
         a_mv, b_mv = paths.movers(m)  # tracks at slots i, i+1 (symbols u, v)
         occ = paths.occ[m]
-        for ev in geom.trisecants:
-            spec = occ[ev.spectator_slot - 1]
-            track_of = {"u": a_mv, "v": b_mv, "spec": spec}
-            z_star = (m + (1.0 + ev.s) / 3.0) / l
-            slopes = {
-                frozenset(track_of[x] for x in key): val
-                for key, val in ev.slopes.items()
-            }
-            order0 = tuple(track_of[s] for s in ev.y_order_t0)
-            for t_star, order in ((ev.t0, order0), (ev.t0 + math.pi, order0[::-1])):
-                v = TraceVertex(vid, z_star, t_star, order, m, ev.spectator_slot)
-                vertices[vid] = v
-                top, mid, low = order
-                for a, b in ((top, mid), (mid, low), (top, low)):
-                    pass_visits.setdefault((a, b), []).append(
-                        _Visit(z_star, vid, slopes[frozenset((a, b))], (a, b))
-                    )
+        for spectator_slot, z_in_slab, lifts in _vertex_tile(geom.n, geom.slot, geom.sign):
+            tracks = (a_mv, b_mv, occ[spectator_slot - 1])
+            z_star = (m + z_in_slab) / l
+            for t_star, y_order, passes in lifts:
+                vertices[vid] = TraceVertex(vid, z_star, t_star, y_order(tracks), m, spectator_slot)
+                for top, low, slope in passes:
+                    pair = (tracks[top], tracks[low])
+                    pass_visits.setdefault(pair, []).append(_Visit(z_star, vid, slope, pair))
                 vid += 1
             vertex_partner[vid - 2] = vid - 1
             vertex_partner[vid - 1] = vid - 2
@@ -325,6 +339,29 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
     return graph
 
 
+@lru_cache(maxsize=None)
+def _vertex_tile(n: int, slot: int, sign: int) -> tuple:
+    """The triple vertices of letter (slot, sign) on n strands, with its
+    strands named by index into (u, v, spectator): per trisecant, the
+    spectator slot, the z offset in the slab in units of the slab, and for
+    each time lift (t0, then t0 + pi) its t, a getter of its strands by
+    decreasing rotated y, and the (top, low, slope) of its three passes."""
+    name = {"u": 0, "v": 1, "spec": 2}
+    tile = []
+    for ev in letter_geometry(n, slot, sign).trisecants:
+        slope = {frozenset(name[x] for x in key): val for key, val in ev.slopes.items()}
+        order0 = tuple(name[x] for x in ev.y_order_t0)
+        lifts = []
+        for t_star, order in ((ev.t0, order0), (ev.t0 + math.pi, order0[::-1])):
+            top, mid, low = order
+            passes = tuple(
+                (x, y, slope[frozenset((x, y))]) for x, y in ((top, mid), (mid, low), (top, low))
+            )
+            lifts.append((t_star, itemgetter(*order), passes))
+        tile.append((ev.spectator_slot, (1.0 + ev.s) / 3.0, tuple(lifts)))
+    return tuple(tile)
+
+
 def _assert_event_separation(vertices: dict[int, TraceVertex]) -> None:
     evs = sorted((v.z, v.t, v.id) for v in vertices.values())
     for a in range(len(evs)):
@@ -350,10 +387,12 @@ def _delta_t_along(
 ) -> float:
     """Exact t-displacement along a circle between walk coordinates w1 <= w2
     (walk = pass index + z).  Only exchange windows of the pair's own tracks
-    contribute; everything else is stationary."""
+    contribute; everything else is stationary.  Those windows come from
+    `paths.moving`, in increasing m."""
     l = paths.length
     if l == 0 or w1 >= w2:
         return 0.0
+    moving, geoms, pos_of = paths.moving, paths.geoms, paths.pos_of
     total = 0.0
     for p in range(int(w1), min(int(math.ceil(w2)), len(orbit))):
         a, b = orbit[p]
@@ -363,23 +402,21 @@ def _delta_t_along(
             continue
         m_lo = max(0, int(lo * l) - 1)
         m_hi = min(l, int(hi * l) + 2)
-        for m in range(m_lo, m_hi):
-            ws, we = paths.window(m)
+        windows = moving[a, b]
+        for m in windows[bisect_left(windows, m_lo):bisect_left(windows, m_hi)]:
+            ws, we = m / l + 1 / (3 * l), m / l + 2 / (3 * l)  # paths.window(m)
             if we <= lo or ws >= hi:
-                continue
-            mv = paths.movers(m)
-            if a not in mv and b not in mv:
                 continue
             s1 = max((max(lo, ws) - ws) / (we - ws), 0.0)
             s2 = min((min(hi, we) - ws) / (we - ws), 1.0)
-            geom = paths.geoms[m]
+            geom = geoms[m]
+            mv = paths.movers(m)
             if a in mv and b in mv:
                 total += geom.moving_pair_delta_t(s1, s2)
             else:
                 mover_track, other = (a, b) if a in mv else (b, a)
                 sym = "u" if mover_track == mv[0] else "v"
-                spt = paths.placement.points[paths.pos_of[m][other - 1] - 1]
-                total += geom.mover_spectator_delta_t(sym, spt, s1, s2)
+                total += geom.mover_spectator_delta_t(sym, pos_of[m][other - 1], s1, s2)
     return total
 
 
@@ -394,22 +431,47 @@ def _level_of_pair(paths: StrandPathSet, a: int, b: int, z: float, t: float | No
     in the rotated diagram.  With t omitted, the frame is the pair's own
     over-lift (the right frame for a point of the trace graph); fiber reads
     pass their own rotation angle."""
-    pa = paths.track_position(a, z)
-    pb = paths.track_position(b, z)
+    if t is None:
+        slots = paths.resting_slots(z)
+        if slots is not None:
+            return _resting_level(paths.n, slots[a - 1], slots[b - 1])
+    pos = paths.positions_at(z)
+    pa, pb = pos[a - 1], pos[b - 1]
     if t is None:
         t = t_over(pa, pb)
-    xa = rot_x(pa, t)
+    level = _x_rank(pos, a - 1, b - 1, t)
+    if level is None:
+        raise GenericityError(f"level sample at z={z} hits a collinearity for pair ({a},{b})")
+    return level
+
+
+def _x_rank(points, ia: int, ib: int, t: float) -> Optional[int]:
+    """1 + the number of points other than points[ia], points[ib] left of
+    points[ia] in the frame rotated by t (`rot_x`); None when one of them
+    is within 1e-9 of it."""
+    c, s = math.cos(t), math.sin(t)
+    xa = points[ia][0] * c - points[ia][1] * s
     level = 1
-    for tr in range(1, paths.n + 1):
-        if tr in (a, b):
+    for k, p in enumerate(points):
+        if k == ia or k == ib:
             continue
-        x = rot_x(paths.track_position(tr, z), t)
+        x = p[0] * c - p[1] * s
         if abs(x - xa) < 1e-9:
-            raise GenericityError(
-                f"level sample at z={z} hits a collinearity for pair ({a},{b})"
-            )
+            return None
         if x < xa:
             level += 1
+    return level
+
+
+@lru_cache(maxsize=None)
+def _resting_level(n: int, slot_a: int, slot_b: int) -> int:
+    """`_level_of_pair` of tracks resting at slots slot_a, slot_b in the
+    pair's own over-lift frame, where every other track rests at one of
+    the other slots."""
+    pts = slot_angles(n).points
+    level = _x_rank(pts, slot_a - 1, slot_b - 1, t_over(pts[slot_a - 1], pts[slot_b - 1]))
+    if level is None:
+        raise GenericityError(f"level sample hits a collinearity for slots ({slot_a},{slot_b})")
     return level
 
 

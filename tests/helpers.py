@@ -5,20 +5,26 @@ package (Johnson's blocked search on the directed double cover, and plain
 edge-subset enumeration for tiny graphs) so that agreement is meaningful.
 The base-point search of the isotopy decision is checked against a walk of
 the full product of base offsets, the 3-braid invariants against a Burau
-ball partition and random rewriting.
+ball partition and random rewriting.  The builder's t-displacement and the
+canonical JSON writer are checked against their earlier, plainer forms:
+a scan of every exchange window, a level read from every track's position
+and a writer that dispatches by isinstance.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from fractions import Fraction
 from typing import Optional
 
 from braidtrace import equivalence as eq
+from braidtrace.embedding import rot_x, t_over, wrap_pm_pi
 from braidtrace.levels import CYCLE_BUDGET, simple_cycles
 from braidtrace.oracle import Laurent, _ball_elements, burau3, mat_key, mat_mul
 from braidtrace.threebraid import TripletColumn, minimal_rotation
-from braidtrace.words import BraidWord
+from braidtrace.words import BraidWord, random_word
 
 TWO_PI = 2.0 * math.pi
 
@@ -370,3 +376,98 @@ def reconstruct_partner_column(col: TripletColumn) -> TripletColumn:
         tuple((j, i) for i, j in trip) for trip in col.raw
     )
     return TripletColumn((col.pair[1], col.pair[0]), raw, minimal_rotation(raw))
+
+
+def golden_words():
+    """The seeded B2-B6 words whose builds the golden hashes pin."""
+    rng = random.Random(20261018)
+    words = [BraidWord(n) for n in range(2, 7)]
+    for n in range(2, 7):
+        for l in (1, 2, 4, 8, 12, 16, 24):
+            for _ in range(2):
+                words.append(random_word(n, l, rng))
+    return words
+
+
+def wide_words():
+    """Seeded B7 and B8 words: most exchange windows move neither track of a
+    given pair."""
+    rng = random.Random(808)
+    return [random_word(n, l, rng) for n in (7, 8) for l in (3, 8, 16) for _ in range(2)]
+
+
+def full_scan_delta_t(paths, orbit, w1: float, w2: float) -> float:
+    """The t-displacement along a circle between walk coordinates w1 <= w2,
+    scanning every exchange window near each pass (the builder visits only
+    the windows where one of the pair's tracks moves)."""
+    l = paths.length
+    if l == 0 or w1 >= w2:
+        return 0.0
+    total = 0.0
+    for p in range(int(w1), min(int(math.ceil(w2)), len(orbit))):
+        a, b = orbit[p]
+        lo = max(w1 - p, 0.0)
+        hi = min(w2 - p, 1.0)
+        if lo >= hi:
+            continue
+        m_lo = max(0, int(lo * l) - 1)
+        m_hi = min(l, int(hi * l) + 2)
+        for m in range(m_lo, m_hi):
+            ws, we = paths.window(m)
+            if we <= lo or ws >= hi:
+                continue
+            mv = paths.movers(m)
+            if a not in mv and b not in mv:
+                continue
+            s1 = max((max(lo, ws) - ws) / (we - ws), 0.0)
+            s2 = min((min(hi, we) - ws) / (we - ws), 1.0)
+            geom = paths.geoms[m]
+            if a in mv and b in mv:
+                total += geom.moving_pair_delta_t(s1, s2)
+            else:
+                mover_track, other = (a, b) if a in mv else (b, a)
+                sym = "u" if mover_track == mv[0] else "v"
+                spt = paths.placement.points[paths.pos_of[m][other - 1] - 1]
+                total += _mover_spectator_delta_t(geom, sym, spt, s1, s2)
+    return total
+
+
+def _mover_spectator_delta_t(geom, mover: str, slot_pt, s1: float, s2: float) -> float:
+    f = geom.u if mover == "u" else geom.v
+    p1, p2 = f(s1), f(s2)
+    th1 = math.atan2(p1[1] - slot_pt[1], p1[0] - slot_pt[0])
+    th2 = math.atan2(p2[1] - slot_pt[1], p2[0] - slot_pt[0])
+    return -wrap_pm_pi(th2 - th1)
+
+
+def scanned_level(paths, a: int, b: int, z: float) -> int:
+    """The level of the crossing of tracks a, b at height z in the pair's
+    over-lift frame, scanning every track's position."""
+    pa, pb = paths.track_position(a, z), paths.track_position(b, z)
+    t = t_over(pa, pb)
+    xa = rot_x(pa, t)
+    others = (tr for tr in range(1, paths.n + 1) if tr not in (a, b))
+    return 1 + sum(rot_x(paths.track_position(tr, z), t) < xa for tr in others)
+
+
+def reference_fmt(value) -> str:
+    """The canonical JSON writer dispatching by isinstance, one json.dumps
+    per string and per key."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_fmt(x) for x in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: kv[0])
+        return "{" + ",".join(f"{json.dumps(k)}:{reference_fmt(v)}" for k, v in items) + "}"
+    raise TypeError(f"cannot serialise {type(value)}")

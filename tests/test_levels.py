@@ -80,6 +80,19 @@ class TestRightAttractors:
                 assert not verts & seen
                 seen |= verts
 
+    def test_once_per_level(self, monkeypatch):
+        # the attractor profile and the maximal profile of a non-degenerate
+        # level share one walk
+        calls = []
+        walk = lv.right_attractors
+        monkeypatch.setattr(lv, "right_attractors", lambda s: calls.append(s.level) or walk(s))
+        g = build_trace_graph(parse_word(NONDEG_WITNESS[0], NONDEG_WITNESS[1]))
+        levels = [lv.level_subgraph(g, k) for k in range(1, g.n)]
+        lv.attractor_profile(levels)
+        assert lv.maximal_profile(levels)[NONDEG_WITNESS[2]] is not None
+        assert sorted(calls) == list(range(1, g.n))
+        assert [s.attractors for s in levels] == [tuple(walk(s)) for s in levels]
+
 
 class TestCycleClasses:
     def test_single_cycle_subgraph_degenerate(self):

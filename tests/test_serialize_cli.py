@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from helpers import golden_words, reference_fmt
 
 import braidtrace
+from braidtrace import serialize
 from braidtrace import cli, oracle
 from braidtrace import equivalence as eq
 from braidtrace.serialize import (
@@ -23,16 +25,6 @@ from braidtrace.words import BraidWord, parse_word, random_word
 # sha256 of the canonical_json documents of golden_words(), one per line,
 # as written before the in-package root solver replaced scipy's brentq
 GOLDEN_SHA256 = "a605741507d1f38ee49e94fafda26952df25d21d210bf8722771eab76e39b637"
-
-
-def golden_words():
-    rng = random.Random(20261018)
-    words = [BraidWord(n) for n in range(2, 7)]
-    for n in range(2, 7):
-        for l in (1, 2, 4, 8, 12, 16, 24):
-            for _ in range(2):
-                words.append(random_word(n, l, rng))
-    return words
 
 
 class TestDocuments:
@@ -101,6 +93,72 @@ class TestDocuments:
         g = build_trace_graph(parse_word("s1 s2", 3))
         assert to_dot(g) == to_dot(g)
         assert to_dot(g).startswith("digraph")
+
+
+class TestWriter:
+    """canonical_json against the isinstance-dispatch reference writer."""
+
+    def test_built_and_reduced_documents(self):
+        for w in golden_words()[::2]:
+            g = build_trace_graph(w)
+            for h in (g, eq.reduce(g)):
+                doc = graph_to_document(h)
+                assert canonical_json(doc) == reference_fmt(doc) + "\n"
+
+    def test_synthetic_documents(self):
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        docs = [
+            None, True, False, 0, -7, 2**70, Count(3), 1.5, -0.0, 1e-300,
+            float("inf"), float("nan"), "", "plain", Name("sub"),
+            'quote " and backslash \\', "non-ASCII: \u00e9 \u00df \u6f22 \U0001f600", "\x00\n\t",
+            [], (), {}, [[]], {"e": {}},
+            [None, True, False, 1, 2.5, "s", [], {}, (1, (2, [3]))],
+            [1, True, 2], [1, 2.0], (1, 2, 3), [[1, 2], [3, 4]],
+            {"b": 1, "a": [1, 2], "\u00e9": "\u00fc", 'q"': None, "z\\": True},
+            {str(k): k for k in range(20)},
+            {f"k{k:02}": [k, float(k), str(k)] for k in range(13)},
+            {"nested": {"x": {"y": {}}}, "t": (True, None), "f": [False]},
+            {3: "int keys", 1: "a"},
+        ]
+        for doc in docs:
+            assert canonical_json(doc) == reference_fmt(doc) + "\n", doc
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", {"a": [1, object()]}, [(1, {2})]])
+    def test_unsupported_type_raises(self, bad):
+        with pytest.raises(TypeError):
+            reference_fmt(bad)
+        with pytest.raises(TypeError):
+            canonical_json(bad)
+
+    def test_shape_cache_is_bounded(self):
+        rng = random.Random(11)
+        words = set()
+        while len(words) < 200:
+            n = rng.choice((2, 3, 4, 5))
+            words.add(random_word(n, rng.randint(0, 6), rng))
+        shapes = set()
+        for w in sorted(words, key=str):
+            doc = graph_to_document(build_trace_graph(w))
+            assert canonical_json(doc) == reference_fmt(doc) + "\n"
+            shapes |= _small_dict_shapes(doc)
+        assert len(shapes) > 16  # the index maps of small graphs alone would overflow it
+        assert len(serialize._shapes) <= 16
+
+
+def _small_dict_shapes(value) -> set:
+    if isinstance(value, dict):
+        out = {tuple(value)} if len(value) <= 12 else set()
+        for v in value.values():
+            out |= _small_dict_shapes(v)
+        return out
+    if isinstance(value, list):
+        return set().union(*map(_small_dict_shapes, value))
+    return set()
 
 
 def run_cli(*args):

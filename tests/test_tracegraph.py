@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 
 import pytest
+from helpers import full_scan_delta_t, golden_words, scanned_level, wide_words
 
 from braidtrace import oracle
 from braidtrace.checks import run_structure_checks
@@ -9,6 +11,8 @@ from braidtrace.embedding import GenericityError, letter_geometry, strand_paths,
 from braidtrace.tracegraph import (
     Marking,
     SingularFiberError,
+    _delta_t_along,
+    _level_of_pair,
     build_trace_graph,
     gauss_diagram,
     read_fiber,
@@ -16,7 +20,40 @@ from braidtrace.tracegraph import (
     singular_t_values,
     symmetry_involution,
 )
-from braidtrace.words import BraidWord, iter_reduced_words, parse_word
+from braidtrace.words import BraidWord, iter_reduced_words, parse_word, permutation
+
+# sha256 over float.hex of every vertex z, t and edge dz, dt (with the edge
+# level) of golden_words() and wide_words(), as built before the builder
+# read tile constants and visited only the windows where a track moves
+GOLDEN_FLOATS_SHA256 = "9ac89c9cf4ad8c4988ae4479058e131e3443e879238cec36dfef7b07edc72de1"
+
+
+def builder_floats_digest(words) -> str:
+    h = hashlib.sha256()
+    for w in words:
+        g = build_trace_graph(w)
+        for v in sorted(g.vertices.values(), key=lambda v: v.id):
+            h.update(f"v {v.z.hex()} {v.t.hex()}\n".encode())
+        for e in sorted(g.edges.values(), key=lambda e: e.id):
+            h.update(f"e {e.dz.hex()} {e.dt.hex()} {e.level}\n".encode())
+    return h.hexdigest()
+
+
+def pass_orbits(w: BraidWord) -> list[list[tuple[int, int]]]:
+    """Orbits of ordered track pairs under the closure permutation, in the
+    builder's order."""
+    perm = permutation(w)
+    seen, out = set(), []
+    for a in range(1, w.n + 1):
+        for b in range(1, w.n + 1):
+            orbit, cur = [], (a, b)
+            while a != b and cur not in seen:
+                seen.add(cur)
+                orbit.append(cur)
+                cur = (perm[cur[0] - 1], perm[cur[1] - 1])
+            if orbit:
+                out.append(orbit)
+    return out
 
 
 class TestCounts:
@@ -94,6 +131,49 @@ class TestCircles:
             else:
                 gcd = math.gcd(g.cycles.lengths[i - 1], g.cycles.lengths[j - 1])
                 assert 1 <= c.marking.k <= gcd
+
+
+class TestBuilderFloats:
+    def test_golden_floats(self):
+        assert builder_floats_digest(golden_words() + wide_words()) == GOLDEN_FLOATS_SHA256
+
+    def test_delta_t_matches_full_scan(self):
+        rng = random.Random(4242)
+        for w in golden_words()[::3] + wide_words():
+            paths = strand_paths(w)
+            l = len(w)
+            for orbit in pass_orbits(w):
+                total = float(len(orbit))
+                # window ends, so that whole windows and exact ends occur
+                ends = [p + x for p in range(len(orbit)) for m in range(l) for x in paths.window(m)]
+                cuts = [0.0, total] + rng.sample(ends, min(len(ends), 8))
+                cuts += [rng.uniform(0.0, total) for _ in range(8)]
+                for _ in range(12):
+                    w1, w2 = sorted(rng.sample(cuts, 2))
+                    got = _delta_t_along(paths, orbit, w1, w2)
+                    assert got.hex() == full_scan_delta_t(paths, orbit, w1, w2).hex(), (w, w1, w2)
+
+    def test_levels_match_the_track_scan(self):
+        # outside every exchange window each track rests at a slot point, and
+        # the level memoized by slots equals the level scanned from positions
+        for w in golden_words()[::3] + wide_words():
+            paths = strand_paths(w)
+            l = len(w)
+            resting = [0.25, 0.75] if l == 0 else [(m + f) / l for m in range(l) for f in (0.0, 0.2, 0.7)]
+            moving = [(m + f) / l for m in range(l) for f in (0.4, 0.6)]
+            for z in resting + moving:
+                assert (paths.resting_slots(z) is not None) == (z in resting)
+                for a in range(1, w.n + 1):
+                    for b in range(1, w.n + 1):
+                        if a != b:
+                            assert _level_of_pair(paths, a, b, z) == scanned_level(paths, a, b, z)
+
+    def test_positions_at_is_every_track_position(self):
+        w = parse_word("s1 s2^-1 s3 s2", 4)
+        paths = strand_paths(w)
+        for k in range(97):
+            z = k / 96
+            assert paths.positions_at(z) == [paths.track_position(tr, z) for tr in range(1, 5)]
 
 
 class TestLevels:
