@@ -17,6 +17,8 @@ from .oracle import brute_counts, expected_circle_count
 from .tracegraph import TraceGraph, read_word_at, symmetry_involution
 
 TWO_PI = 2 * math.pi
+INJECTIVITY_SAMPLES = 24  # samples per pass circle of the injectivity check
+INJECTIVITY_TOL = 1e-5    # (z, t) distance below which two samples coincide
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,7 @@ class CheckResult:
     warning: bool = False  # findings that do not fail the suite
 
 
-def run_structure_checks(g: TraceGraph, sample_injectivity: bool = True) -> list[CheckResult]:
+def run_structure_checks(g: TraceGraph) -> list[CheckResult]:
     out = []
     w = g.word
     n, l = g.n, len(w)
@@ -87,9 +89,8 @@ def run_structure_checks(g: TraceGraph, sample_injectivity: bool = True) -> list
     if g.paths is not None:
         rb = read_word_at(g, 0.0)
         out.append(CheckResult("time-zero fiber reads back the word", rb.letters == w.letters))
-        if sample_injectivity:
-            out.append(CheckResult("level subgraphs project injectively (sampled)",
-                                   _sampled_injectivity(g)))
+        out.append(CheckResult("level subgraphs project injectively (sampled)",
+                               _sampled_injectivity(g)))
     return out
 
 
@@ -136,7 +137,7 @@ def _attractor_checks(g: TraceGraph) -> tuple[bool, str, list[str]]:
     return True, "", warnings
 
 
-def _sampled_injectivity(g: TraceGraph, per_pass: int = 24, tol: float = 1e-5) -> bool:
+def _sampled_injectivity(g: TraceGraph) -> bool:
     """Sample the crossing curves and look for same-level coincidences in
     (z, t) away from vertices.  A sample is near a vertex when it lies
     within 0.02 in z and 0.2 in t; the vertices are sorted by z, so only
@@ -148,8 +149,8 @@ def _sampled_injectivity(g: TraceGraph, per_pass: int = 24, tol: float = 1e-5) -
     spot_z = [vz for vz, _ in vertex_spots]
     samples: dict[int, list] = {}
     for (a, b), cid in g.pass_circle.items():
-        for i in range(per_pass):
-            z = (i + 0.5) / per_pass
+        for i in range(INJECTIVITY_SAMPLES):
+            z = (i + 0.5) / INJECTIVITY_SAMPLES
             pa = paths.track_position(a, z)
             pb = paths.track_position(b, z)
             t = t_over(pa, pb)
@@ -162,8 +163,8 @@ def _sampled_injectivity(g: TraceGraph, per_pass: int = 24, tol: float = 1e-5) -
         pts.sort()
         for p1, p2 in zip(pts, pts[1:]):
             if (
-                abs(p1[0] - p2[0]) < tol
-                and abs(wrap_pm_pi(p1[1] - p2[1])) < tol
+                abs(p1[0] - p2[0]) < INJECTIVITY_TOL
+                and abs(wrap_pm_pi(p1[1] - p2[1])) < INJECTIVITY_TOL
                 and p1[2] != p2[2]
             ):
                 return False

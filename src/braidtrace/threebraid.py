@@ -5,7 +5,12 @@ component pairs, and the column of vertex triplets read along one circle
 of the reduced trace graph, together with one linking number, classifies
 the closure up to conjugacy with ordered components.  Arbitrary 3-braids
 reduce to the pure case by raising to the power that kills the
-permutation and enumerating the six component relabelings.
+permutation and trying the six component relabelings.  A relabeling needs
+no new graph: conjugating a pure braid p by a lift of the permutation pi
+only renames the closure's components (component j of the conjugate is
+component pi(j) of p), and the linking number and the column are invariants
+of the ordered closure.  So the conjugate's invariants are exactly those of
+components pi(1), pi(2) in p's own reduced graph, with pi(j) renamed j.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ from .equivalence import reduce as reduce_graph
 from .tracegraph import build_trace_graph
 from .words import (
     BraidWord,
-    concatenate,
     cycle_structure,
     free_reduce,
-    invert,
     is_pure,
     linking_number,
-    permutation,
     power,
     pure_power_exponent,
     subbraid,
@@ -116,21 +118,13 @@ def _reduced_graph_cached(letters: tuple[tuple[int, int], ...]):
 
 def _column(sub: BraidWord, pair: tuple[int, int], relabel: dict) -> TripletColumn:
     r = _reduced_graph_cached(sub.letters)
-    target = None
-    for c in r.circles.values():
-        if c.comp_pair == pair:
-            target = c
-            break
+    target = next((c for c in r.circles.values() if c.comp_pair == pair), None)
     assert target is not None, "pure 3-braid must have all six circles"
     raw = []
     if r.edges[target.edges[0]].tail is not None:
         for eid in target.edges:
-            v = r.vertices[r.edges[eid].tail]
-            trip = []
-            for below in v.below:
-                i, j = r.edges[below].pair
-                trip.append((relabel[i], relabel[j]))
-            raw.append(tuple(trip))
+            below = r.vertices[r.edges[eid].tail].below
+            raw.append(tuple((relabel[i], relabel[j]) for i, j in (r.edges[e].pair for e in below)))
     raw = tuple(raw)
     out_pair = (relabel[pair[0]], relabel[pair[1]])
     return TripletColumn(out_pair, raw, minimal_rotation(raw))
@@ -143,9 +137,15 @@ def conjugate_pure_ordered(a: BraidWord, b: BraidWord) -> bool:
     for w in (a, b):
         if w.n != 3 or not is_pure(w):
             raise ValueError("conjugate_pure_ordered needs pure 3-braids")
-    if linking_number(a, 1, 2) != linking_number(b, 1, 2):
-        return False
-    return cyclic_invariant(a).cyclically_equal(cyclic_invariant(b))
+    return _profile(a) == _profile(b)
+
+
+def _profile(p: BraidWord, perm: tuple[int, int, int] = (1, 2, 3)) -> tuple:
+    """Linking number and canonical (1,2) column of the conjugate of the
+    pure 3-braid p by a lift of perm, read from p's own reduced graph."""
+    relabel = {c: j + 1 for j, c in enumerate(perm)}
+    column = _column(p, (perm[0], perm[1]), relabel)
+    return linking_number(p, perm[0], perm[1]), column.canonical
 
 
 class Verdict(Enum):
@@ -165,15 +165,8 @@ class Conjugacy3Result:
         return self.verdict is Verdict.TRUE
 
 
-# positive lifts of the six permutations of three strands
-_RELABEL_WORDS = (
-    (),
-    ((1, 1),),
-    ((2, 1),),
-    ((1, 1), (2, 1)),
-    ((2, 1), (1, 1)),
-    ((1, 1), (2, 1), (1, 1)),
-)
+# the permutations of the positive lifts 1, s1, s2, s1 s2, s2 s1, s1 s2 s1
+_PERMUTATIONS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1))
 
 
 def conjugate_3braids(
@@ -183,9 +176,12 @@ def conjugate_3braids(
 
     Braids are conjugate exactly when a common pure power is, so both are
     raised to the order of their permutations and the pure ordered test
-    runs against every component relabeling.  A negative invariant verdict
-    is cross-checked against the conjugator search; a surviving oracle
-    witness downgrades the answer to inconclusive rather than patching it.
+    runs against every component relabeling of a's power, read from its one
+    reduced graph, in the order of the positive lifts 1, s1, s2, s1 s2,
+    s2 s1, s1 s2 s1; the first match is the witness.  A negative invariant
+    verdict is cross-checked against the conjugator search; a surviving
+    oracle witness downgrades the answer to inconclusive rather than
+    patching it.
     """
     if a.n != 3 or b.n != 3:
         raise ValueError("conjugate_3braids works in B_3")
@@ -193,23 +189,13 @@ def conjugate_3braids(
         sorted(cycle_structure(b).lengths)
     ):
         return Conjugacy3Result(Verdict.FALSE)
-    k = pure_power_exponent(a)
-    k = k * pure_power_exponent(b) // math.gcd(k, pure_power_exponent(b))
+    k = math.lcm(pure_power_exponent(a), pure_power_exponent(b))
     pa = free_reduce(power(a, k))
-    pb = free_reduce(power(b, k))
-    prof_b = _pure_profile(pb.letters)
-    for rho_letters in _RELABEL_WORDS:
-        rho = BraidWord(3, rho_letters)
-        cand = free_reduce(concatenate(concatenate(rho, pa), invert(rho)))
-        if _pure_profile(cand.letters) == prof_b:
-            return Conjugacy3Result(Verdict.TRUE, permutation(rho), k)
+    prof_b = _profile(free_reduce(power(b, k)))
+    for perm in _PERMUTATIONS:
+        if _profile(pa, perm) == prof_b:
+            return Conjugacy3Result(Verdict.TRUE, perm, k)
     witness = oracle.conjugator_search(a, b, oracle_depth)
     if witness is not None:
         return Conjugacy3Result(Verdict.INCONCLUSIVE, None, k, witness)
     return Conjugacy3Result(Verdict.FALSE, None, k)
-
-
-@lru_cache(maxsize=8192)
-def _pure_profile(letters: tuple[tuple[int, int], ...]):
-    w = BraidWord(3, letters)
-    return (linking_number(w, 1, 2), cyclic_invariant(w).canonical)

@@ -32,7 +32,7 @@ double the direct computation gives:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import itemgetter
@@ -54,6 +54,8 @@ from .embedding import (
 from .words import BraidWord, CycleStructure, cycle_structure, permutation
 
 TWO_PI = 2.0 * math.pi
+SYMMETRY_TOL = 1e-6  # coordinate match of a vertex and its t+pi partner
+FIBER_TOL = 1e-9     # singular-fiber and crossing-separation tolerance
 
 
 class SingularFiberError(RuntimeError):
@@ -529,21 +531,24 @@ def _assign_markings(graph: TraceGraph) -> None:
 # Symmetry involution as a checked operation
 
 
-def symmetry_involution(graph: TraceGraph, tol: float = 1e-6) -> dict[int, int]:
+def symmetry_involution(graph: TraceGraph) -> dict[int, int]:
     """Match each vertex to its t -> t+pi partner by coordinates; verify the
-    construction pairing and the marking reversal rules."""
+    construction pairing and the marking reversal rules.  The partner is
+    the first vertex in graph order within SYMMETRY_TOL in z and t, sought
+    among the vertices a bisection by z finds near v."""
     pairing: dict[int, int] = {}
     verts = list(graph.vertices.values())
+    by_z = sorted(range(len(verts)), key=lambda k: verts[k].z)
+    keys = [verts[k].z for k in by_z]
     for v in verts:
         target_t = (v.t + math.pi) % TWO_PI
-        match = None
-        for u in verts:
-            if abs(u.z - v.z) < tol and abs(wrap_pm_pi(u.t - target_t)) < tol:
-                match = u
-                break
+        z_lo, z_hi = v.z - 2 * SYMMETRY_TOL, v.z + 2 * SYMMETRY_TOL
+        near = by_z[bisect_left(keys, z_lo):bisect_right(keys, z_hi)]
+        match = min((k for k in near if abs(verts[k].z - v.z) < SYMMETRY_TOL
+                     and abs(wrap_pm_pi(verts[k].t - target_t)) < SYMMETRY_TOL), default=None)
         if match is None:
-            raise GenericityError(f"vertex {v.id} has no t+pi partner within {tol}")
-        pairing[v.id] = match.id
+            raise GenericityError(f"vertex {v.id} has no t+pi partner within {SYMMETRY_TOL}")
+        pairing[v.id] = verts[match].id
     for a, b in pairing.items():
         if a == b or pairing[b] != a:
             raise GenericityError("symmetry pairing is not a fixed-point-free involution")
@@ -610,13 +615,13 @@ def _paths_of(g) -> StrandPathSet:
     return g.paths
 
 
-def read_fiber(g, t: float, tol: float = 1e-9) -> list[FiberCrossing]:
+def read_fiber(g, t: float) -> list[FiberCrossing]:
     """Crossings of the diagram of the braid rotated by t, sorted by z."""
     paths = _paths_of(g)
     graph = g if isinstance(g, TraceGraph) else None
     t = t % TWO_PI
     for t_bad, reason in singular_t_values(paths):
-        if abs(wrap_pm_pi(2 * (t - t_bad))) / 2 < tol:
+        if abs(wrap_pm_pi(2 * (t - t_bad))) / 2 < FIBER_TOL:
             raise SingularFiberError(f"t={t:.6f} is singular: {reason}")
 
     cs = cycle_structure(paths.word)
@@ -633,7 +638,7 @@ def read_fiber(g, t: float, tol: float = 1e-9) -> list[FiberCrossing]:
                     continue
                 if a in mv and b in mv:
                     z = ws + geom.solve_direction(tau) * (we - ws)
-                    crossings.append(_fiber_crossing_at(paths, graph, cs, a, b, z, t, tol))
+                    crossings.append(_fiber_crossing_at(paths, graph, cs, a, b, z, t))
                 else:
                     mover_track, other = (a, b) if a in mv else (b, a)
                     sym = "u" if mover_track == mv[0] else "v"
@@ -652,11 +657,11 @@ def read_fiber(g, t: float, tol: float = 1e-9) -> list[FiberCrossing]:
                         for s_root in _solve_monotone_theta(theta, s_lo, s_hi, tau):
                             z = ws + s_root * (we - ws)
                             crossings.append(
-                                _fiber_crossing_at(paths, graph, cs, a, b, z, t, tol)
+                                _fiber_crossing_at(paths, graph, cs, a, b, z, t)
                             )
     crossings.sort(key=lambda c: c.z)
     for c1, c2 in zip(crossings, crossings[1:]):
-        if c2.z - c1.z < tol:
+        if c2.z - c1.z < FIBER_TOL:
             raise SingularFiberError(f"two crossings share z={c1.z:.9f}")
     return crossings
 
@@ -676,7 +681,7 @@ def _fiber_crossing_at(
     paths: StrandPathSet,
     graph: Optional[TraceGraph],
     cs: CycleStructure,
-    a: int, b: int, z: float, t: float, tol: float,
+    a: int, b: int, z: float, t: float,
 ) -> FiberCrossing:
     pa = paths.track_position(a, z)
     pb = paths.track_position(b, z)
@@ -684,7 +689,7 @@ def _fiber_crossing_at(
     level = _level_of_pair(paths, a, b, z, t)
     va = _rot_x_velocity(paths, over, z, t)
     vb = _rot_x_velocity(paths, under, z, t)
-    if abs(va - vb) < tol:
+    if abs(va - vb) < FIBER_TOL:
         raise SingularFiberError(f"crossing of ({a},{b}) at z={z:.9f} has no transversal sign")
     sign = 1 if va > vb else -1
     comp_pair = (cs.component_of[over - 1], cs.component_of[under - 1])

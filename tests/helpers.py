@@ -5,10 +5,12 @@ package (Johnson's blocked search on the directed double cover, and plain
 edge-subset enumeration for tiny graphs) so that agreement is meaningful.
 The base-point search of the isotopy decision is checked against a walk of
 the full product of base offsets, the 3-braid invariants against a Burau
-ball partition and random rewriting.  The builder's t-displacement and the
-canonical JSON writer are checked against their earlier, plainer forms:
-a scan of every exchange window, a level read from every track's position
-and a writer that dispatches by isinstance.
+ball partition and random rewriting, and the relabelled 3-braid profile
+against the profile of each rebuilt conjugate.  The builder's
+t-displacement, the canonical JSON writer and the t+pi vertex matcher are
+checked against their earlier, plainer forms: a scan of every exchange
+window, a level read from every track's position, a writer that
+dispatches by isinstance and a match of every vertex against every vertex.
 """
 
 from __future__ import annotations
@@ -20,11 +22,19 @@ from fractions import Fraction
 from typing import Optional
 
 from braidtrace import equivalence as eq
-from braidtrace.embedding import rot_x, t_over, wrap_pm_pi
+from braidtrace.embedding import GenericityError, rot_x, t_over, wrap_pm_pi
 from braidtrace.levels import CYCLE_BUDGET, simple_cycles
 from braidtrace.oracle import Laurent, _ball_elements, burau3, mat_key, mat_mul
-from braidtrace.threebraid import TripletColumn, minimal_rotation
-from braidtrace.words import BraidWord, random_word
+from braidtrace.threebraid import TripletColumn, cyclic_invariant, minimal_rotation
+from braidtrace.tracegraph import SYMMETRY_TOL
+from braidtrace.words import (
+    BraidWord,
+    concatenate,
+    free_reduce,
+    invert,
+    linking_number,
+    random_word,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -376,6 +386,55 @@ def reconstruct_partner_column(col: TripletColumn) -> TripletColumn:
         tuple((j, i) for i, j in trip) for trip in col.raw
     )
     return TripletColumn((col.pair[1], col.pair[0]), raw, minimal_rotation(raw))
+
+
+# the positive lifts 1, s1, s2, s1 s2, s2 s1, s1 s2 s1 of the permutations of
+# three strands, in the order conjugate_3braids tries them
+RELABEL_WORDS = (
+    (),
+    ((1, 1),),
+    ((2, 1),),
+    ((1, 1), (2, 1)),
+    ((2, 1), (1, 1)),
+    ((1, 1), (2, 1), (1, 1)),
+)
+
+
+def rebuilt_profile(p: BraidWord, rho_letters) -> tuple:
+    """Linking number and canonical (1,2) column of free_reduce(rho p rho^-1),
+    read from the conjugate's own reduced graph."""
+    rho = BraidWord(3, rho_letters)
+    cand = free_reduce(concatenate(concatenate(rho, p), invert(rho)))
+    return linking_number(cand, 1, 2), cyclic_invariant(cand).canonical
+
+
+def scanned_symmetry_involution(graph) -> dict[int, int]:
+    """symmetry_involution as it was: every vertex matched against every
+    vertex in graph order, then the same pairing and marking checks."""
+    pairing = {}
+    verts = list(graph.vertices.values())
+    for v in verts:
+        target_t = (v.t + math.pi) % TWO_PI
+        match = None
+        for u in verts:
+            if abs(u.z - v.z) < SYMMETRY_TOL and abs(wrap_pm_pi(u.t - target_t)) < SYMMETRY_TOL:
+                match = u
+                break
+        if match is None:
+            raise GenericityError(f"vertex {v.id} has no t+pi partner within {SYMMETRY_TOL}")
+        pairing[v.id] = match.id
+    for a, b in pairing.items():
+        if a == b or pairing[b] != a:
+            raise GenericityError("symmetry pairing is not a fixed-point-free involution")
+        if graph.vertex_partner[a] != b:
+            raise GenericityError("coordinate pairing disagrees with construction pairing")
+    lengths = graph.cycles.lengths
+    for cid, pcid in graph.circle_partner.items():
+        m = graph.circles[cid].marking
+        pm = graph.circles[pcid].marking
+        if pm != m.reversed(lengths):
+            raise GenericityError(f"marking {m} does not reverse to {pm}")
+    return pairing
 
 
 def golden_words():

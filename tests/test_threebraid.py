@@ -1,8 +1,16 @@
+import hashlib
 import random
 
 import pytest
-from helpers import conjugacy_classes_within_ball, random_rewrite, reconstruct_partner_column
+from helpers import (
+    RELABEL_WORDS,
+    conjugacy_classes_within_ball,
+    random_rewrite,
+    rebuilt_profile,
+    reconstruct_partner_column,
+)
 
+from braidtrace import threebraid as tb
 from braidtrace.threebraid import (
     Verdict,
     conjugate_3braids,
@@ -18,14 +26,44 @@ from braidtrace.words import (
     is_pure,
     iter_reduced_words,
     parse_word,
+    permutation,
+    power,
+    pure_power_exponent,
+    random_word,
 )
 
 BORRO_A = "(s1 s2^-1)^3"
 BORRO_B = "s1^2 s2^2 s1^-2 s2^-2"
 
+# sha256 of decision_rendering(), recorded while conjugate_3braids still
+# built and reduced the graph of every conjugate of a's pure power
+DECISIONS_SHA256 = "d9d1e62a166b7abe2e139b4e533b04c5d92e5af74e37e4f0c20e11fd86294d7e"
+
 
 def conjugate(w, by):
     return free_reduce(concatenate(concatenate(by, w), invert(by)))
+
+
+def decision_rendering() -> list[str]:
+    """(verdict, relabeling, power, oracle witness) of every ordered pair of
+    freely reduced B3 words of length <= 3 at oracle depth 1, then of 300
+    seeded pairs of length 1-10, half conjugate by construction, at the
+    default depth."""
+    words = [w for l in range(4) for w in iter_reduced_words(3, l)]
+    runs = [(a, b, 1) for a in words for b in words]
+    rng = random.Random(2713)
+    for _ in range(300):
+        a = random_word(3, rng.randint(1, 10), rng)
+        if rng.random() < 0.5:
+            b = conjugate(a, random_word(3, rng.randint(1, 4), rng))
+        else:
+            b = random_word(3, rng.randint(1, 10), rng)
+        runs.append((a, b, 4))
+    lines = []
+    for a, b, depth in runs:
+        r = conjugate_3braids(a, b, oracle_depth=depth)
+        lines.append(repr((r.verdict.value, r.relabeling, r.power, str(r.oracle_witness))))
+    return lines
 
 
 class TestMinimalRotation:
@@ -151,6 +189,15 @@ class TestConjugate3Braids:
             res = conjugate_3braids(w, conjugate(w, by))
             assert res.verdict is Verdict.TRUE, (w, by)
 
+    def test_golden_decisions(self):
+        text = "\n".join(decision_rendering())
+        assert hashlib.sha256(text.encode()).hexdigest() == DECISIONS_SHA256
+
+    def test_witness_order_is_that_of_the_positive_lifts(self):
+        assert tb._PERMUTATIONS == tuple(
+            permutation(BraidWord(3, rho)) for rho in RELABEL_WORDS
+        )
+
     def test_agrees_with_oracle_exhaustively_short(self):
         words = [w for l in range(0, 3) for w in iter_reduced_words(3, l)]
         classes = conjugacy_classes_within_ball(words, 6)
@@ -165,3 +212,39 @@ class TestConjugate3Braids:
                     assert verdict is Verdict.TRUE, (a, b)
                 else:
                     assert verdict is not Verdict.TRUE, (a, b)
+
+
+class TestRelabeledProfile:
+    """The profile of a conjugate read from the pure braid's own reduced
+    graph against the profile of the rebuilt conjugate."""
+
+    @staticmethod
+    def pure_words():
+        rng = random.Random(808)
+        words = [BraidWord(3), parse_word("(s1 s2)^3", 3), parse_word(BORRO_A, 3),
+                 parse_word("s1^2 s2^2", 3), parse_word("s1^2 s2^-2 s1^2", 3)]
+        while len(words) < 30:
+            w = random_word(3, rng.randint(1, 6), rng)
+            words.append(free_reduce(power(w, pure_power_exponent(w))))
+        return words
+
+    def test_profile_equals_rebuilt_conjugate(self):
+        for p in self.pure_words():
+            for rho, perm in zip(RELABEL_WORDS, tb._PERMUTATIONS):
+                assert tb._profile(p, perm) == rebuilt_profile(p, rho), (p, perm)
+
+    def test_witness_is_first_matching_lift(self):
+        several = 0
+        for p in self.pure_words():
+            for rho in RELABEL_WORDS:
+                b = conjugate(p, BraidWord(3, rho))
+                target = rebuilt_profile(b, ())
+                matching = [
+                    permutation(BraidWord(3, r)) for r in RELABEL_WORDS
+                    if rebuilt_profile(p, r) == target
+                ]
+                several += len(matching) > 1
+                res = conjugate_3braids(p, b)
+                assert res.verdict is Verdict.TRUE
+                assert res.relabeling == matching[0], (p, rho)
+        assert several > 0

@@ -1,10 +1,18 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
-from helpers import full_scan_delta_t, golden_words, scanned_level, wide_words
+from helpers import (
+    full_scan_delta_t,
+    golden_words,
+    scanned_level,
+    scanned_symmetry_involution,
+    wide_words,
+)
 
+from braidtrace import equivalence as eq
 from braidtrace import oracle
 from braidtrace.checks import run_structure_checks
 from braidtrace.embedding import GenericityError, letter_geometry, strand_paths, wrap_pm_pi
@@ -220,6 +228,64 @@ class TestSymmetry:
         for e in g.edges.values():
             assert g.edges[g.edge_partner[e.id]].level == 4 - e.level
 
+    @staticmethod
+    def outcome(match, g):
+        try:
+            return "pairing", match(g)
+        except GenericityError as ex:
+            return "raises", str(ex)
+
+    def test_matcher_agrees_with_full_scan(self):
+        # built and reduced graphs; reduction can keep a vertex whose t+pi
+        # partner it eliminated, and then both must name the same vertex
+        partial = ["s1^-1 s2^-1 s1 s2^-1 s1", "s2 s1 s2^-1 s1 s2^-1", "s1 s2 s1 s2 s1^-1 s2"]
+        graphs = []
+        for w in golden_words()[::2] + [parse_word(text, 3) for text in partial]:
+            g = build_trace_graph(w)
+            graphs += [g, eq.reduce(g), eq.reduce(g, rng=random.Random(len(w)))]
+        raised = 0
+        for g in graphs:
+            got = self.outcome(symmetry_involution, g)
+            assert got == self.outcome(scanned_symmetry_involution, g), g.word
+            raised += got[0] == "raises"
+        assert 0 < raised < len(graphs)
+
+    def test_matcher_agrees_on_moved_vertices(self):
+        # a vertex pair moved onto another pair: every vertex has a
+        # candidate, but the pairing is not an involution; moved off by less
+        # than the tolerance a vertex still matches, by more it does not
+        w = parse_word("s1 s3^-1 s2 s2 s3 s1^-1", 4)
+        ids = sorted(build_trace_graph(w).vertices)
+        outcomes = set()
+        for k, vid in enumerate(ids):
+            other = ids[(k + 3) % len(ids)]
+            for dz, dt in ((0.0, 0.0), (5e-7, 0.0), (0.0, 5e-7), (2e-6, 0.0), (0.0, 0.1)):
+                g = build_trace_graph(w)
+                if other in (vid, g.vertex_partner[vid]):
+                    continue
+                for moved, onto, ddz, ddt in ((vid, g.vertex_partner[other], dz, dt),
+                                              (g.vertex_partner[vid], other, 0.0, 0.0)):
+                    at = g.vertices[onto]
+                    g.vertices[moved] = replace(g.vertices[moved], z=at.z + ddz, t=at.t + ddt)
+                got = self.outcome(symmetry_involution, g)
+                assert got == self.outcome(scanned_symmetry_involution, g), (vid, dz, dt)
+                outcomes.add(got[1] if got[0] == "raises" else "pairing")
+        assert len(outcomes) >= 3, outcomes
+
+    def test_first_candidate_in_graph_order(self):
+        # vertices 0-3 placed so that 2 has candidates 1 and 3 and 3 has
+        # candidates 0 and 2; only the first in graph order gives the
+        # involution 0-3, 1-2, which the construction pairing then names
+        g = build_trace_graph(parse_word("s1 s3^-1 s2 s2 s3 s1^-1", 4))
+        z0, t0 = g.vertices[0].z, g.vertices[0].t
+        for vid, dz, dt in ((2, 0.0, 0.0), (0, 1.5e-6, 0.0),
+                            (1, -0.5e-6, math.pi), (3, 0.75e-6, math.pi)):
+            g.vertices[vid] = replace(g.vertices[vid], z=z0 + dz, t=(t0 + dt) % (2 * math.pi))
+        g.vertex_partner.update({0: 3, 3: 0, 1: 2, 2: 1})
+        pairing = symmetry_involution(g)
+        assert pairing == scanned_symmetry_involution(g)
+        assert {v: pairing[v] for v in range(4)} == {0: 3, 1: 2, 2: 1, 3: 0}
+
 
 class TestFibers:
     def test_crossing_count_at_zero(self):
@@ -330,5 +396,5 @@ class TestLocalStructure:
             n = rng.choice((3, 4, 5))
             w = random_word(n, rng.randint(1, 6), rng)
             g = build_trace_graph(w)
-            for r in run_structure_checks(g, sample_injectivity=False):
+            for r in run_structure_checks(g):
                 assert r.ok or r.warning, f"{w}: {r.name}: {r.detail}"
