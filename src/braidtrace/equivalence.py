@@ -16,7 +16,6 @@ anchor candidate while staying equivalent to the full product enumeration
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -24,13 +23,12 @@ from typing import Iterator, Optional
 from . import levels as lv
 from .tracegraph import (
     Marking,
-    TraceCircle,
     TraceEdge,
     TraceGraph,
     TraceVertex,
-    build_trace_graph,
+    _resting_level,
+    pair_partners,
 )
-from .words import BraidWord
 
 # ---------------------------------------------------------------------------
 # Trace codes
@@ -398,9 +396,11 @@ def is_eliminable(g: TraceGraph, t: Trihedron) -> bool:
 def eliminate_trihedron(g: TraceGraph, t: Trihedron) -> TraceGraph:
     """Remove the trihedron's two vertices and three edges, splicing each of
     the three circles through them into a single edge with summed lift
-    displacements.  The outside levels per circle must agree."""
+    displacements, and pair the survivors again (`pair_partners`).  The
+    outside levels per circle must agree."""
     g = g.copy()
     _eliminate_inplace(g, t)
+    pair_partners(g)
     return g
 
 
@@ -410,7 +410,8 @@ def _eliminate_inplace(
     """Eliminate a validated trihedron in place; returns the removed
     (edge, tail, head) triples and the ids of the spliced edges.  Records
     are shared with the graph's copies, so changed ones are replaced,
-    never mutated.
+    never mutated.  The t+pi pairing is left stale for the caller to
+    rebuild.
 
     A circle whose only outside edge is pred == succ closes into a
     vertex-free loop, which takes that outside edge's level.  That level
@@ -473,9 +474,6 @@ def _eliminate_inplace(
             g.circles[c.id] = replace(c, edges=tuple(ordered))
             added.append(new_id)
     del g.vertices[v1], g.vertices[v2]
-    g.vertex_partner.pop(v1, None)
-    g.vertex_partner.pop(v2, None)
-    g.edge_partner = {}
     return removed, added
 
 
@@ -488,14 +486,15 @@ def reduce(
     given, in which case the elimination order is random.
 
     Level of a loop closed by reduction: the level its strand pairs have in
-    the canonical placement, i.e. in build_trace_graph of the empty
-    n-braid.  Every vertex-free circle of a built graph has that level,
-    because the fibre at z = 0 is the canonical placement and a circle
-    without vertices never changes level; so the result does not depend
-    on the elimination order and keeps the t+pi law level(e') = n -
-    level(e).  If a loop's strand pairs disagreed on the canonical level
-    (not seen in any reduction so far), it would keep the level of its
-    circle's last outside edge.
+    the canonical placement, where track a rests at slot a
+    (`_resting_level(n, a, b)`).  Every vertex-free circle of a built graph
+    has that level, because the fibre at z = 0 is the canonical placement
+    and a circle without vertices never changes level; so the result does
+    not depend on the elimination order and keeps the t+pi law level(e') =
+    n - level(e).  If a loop's strand pairs disagreed on the canonical
+    level (not seen in any reduction so far), it would keep the level of
+    its circle's last outside edge.  The t+pi pairing of the survivors is
+    read once, at the end (`pair_partners`).
     """
     import itertools
 
@@ -568,7 +567,7 @@ def reduce(
     work.reduced_from = original
     if original > work.num_vertices:
         _level_closed_loops(work)
-    _rebuild_symmetry(work)
+    pair_partners(work)
     return work
 
 
@@ -576,69 +575,14 @@ def _level_closed_loops(g: TraceGraph) -> None:
     """Give every vertex-free circle the level its strand pairs have in the
     canonical placement, when they agree on one.  Loops the graph had
     before reduction already carry that level."""
-    canonical = _canonical_pair_levels(g.n)
     levels_of: dict[int, set[int]] = {}
-    for pair, cid in g.pass_circle.items():
-        levels_of.setdefault(cid, set()).add(canonical[pair])
+    for (a, b), cid in g.pass_circle.items():
+        levels_of.setdefault(cid, set()).add(_resting_level(g.n, a, b))
     for c in g.circles.values():
         e = g.edges[c.edges[0]]
         if e.tail is None and len(levels_of[c.id]) == 1:
             (level,) = levels_of[c.id]
             g.edges[e.id] = replace(e, level=level)
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_pair_levels(n: int) -> dict[tuple[int, int], int]:
-    """Level of each ordered strand pair's loop in the trace graph of the
-    empty n-braid."""
-    g = build_trace_graph(BraidWord(n))
-    return {
-        pair: g.edges[g.circles[cid].edges[0]].level for pair, cid in g.pass_circle.items()
-    }
-
-
-def _circle_visits(g: TraceGraph, c: TraceCircle) -> list[int]:
-    """Vertex of each junction along the circle; visit k is the tail of
-    edges[k].  Empty for vertex-free circles."""
-    if c.edges and g.edges[c.edges[0]].tail is None:
-        return []
-    return [g.edges[e].tail for e in c.edges]
-
-
-def _rebuild_symmetry(g: TraceGraph) -> None:
-    """Best-effort t+pi pairing of the survivors.
-
-    Overlapping trihedra let a reduction run retain different vertices on
-    the two symmetric sides (the results are isotopic, not pointwise
-    symmetric), so vertices and edges without a literal partner simply
-    drop out of the pairing; nothing downstream of reduction consults it
-    except diagnostics."""
-    vertex_partner = {}
-    for a, b in list(g.vertex_partner.items()):
-        if a in g.vertices and b in g.vertices:
-            vertex_partner[a] = b
-    g.vertex_partner = vertex_partner
-    edge_partner = {}
-    for c in g.circles.values():
-        pc = g.circles[g.circle_partner[c.id]]
-        visits = _circle_visits(g, c)
-        pvisits = _circle_visits(g, pc)
-        if not visits:
-            if not pvisits and len(pc.edges) == len(c.edges) == 1:
-                edge_partner[c.edges[0]] = pc.edges[0]
-            continue
-        if any(v not in vertex_partner for v in visits):
-            continue
-        expected = [vertex_partner[v] for v in visits]
-        K = len(visits)
-        if len(pvisits) != K:
-            continue
-        for s in range(K):
-            if all(pvisits[(x + s) % K] == expected[x] for x in range(K)):
-                for x in range(K):
-                    edge_partner[c.edges[x]] = pc.edges[(x + s) % K]
-                break
-    g.edge_partner = edge_partner
 
 
 def equivalent_up_to_trihedral(g1: TraceGraph, g2: TraceGraph) -> IsotopyResult:

@@ -37,8 +37,13 @@ exactly the canonical primitive lattice points of P.  P itself comes from
 max-gain unit circulations, a polynomial support oracle; circulations
 with homology constraints on surface graphs are studied by Chambers,
 Erickson and Nayyeri, "Homology flows, cohomology cuts", SIAM J. Comput.
-41 (2012).  The simple-cycle enumeration (`simple_cycles`,
-`cycle_classes`) remains only as the tests' reference.
+41 (2012).
+
+The simple-cycle enumeration (`simple_cycles`, `cycle_classes`, its
+`CYCLE_BUDGET` and `CycleBudgetError`) is only the tests' reference.  It
+stays in this module because the benchmark under `perfbench/` binds those
+names: its tracer wraps both searches and counts the listed cycles and
+the budget errors.
 """
 
 from __future__ import annotations
@@ -212,145 +217,75 @@ def right_attractors(s: LevelSubgraph) -> list[RightAttractor]:
     return attractors
 
 
-class _NodeCapExceeded(Exception):
-    pass
-
-
-_NODE_CAP = 2_000_000
-
-# a class (u, w) packs into the integer u * _PACK + w; sums of packed classes
-# are packed sums, and the sign of a packed class is that of (u, w) in
-# lexicographic order, while |w| < _PACK / 2
-_PACK = 1 << 32
-
-
-def _pack(cls: HomologyClass) -> int:
-    return cls[0] * _PACK + cls[1]
-
-
-def _unpack(p: int) -> HomologyClass:
-    u = (p + _PACK // 2) // _PACK
-    return (u, p - u * _PACK)
-
-
-def _cycle_search(s: LevelSubgraph, budget: int, listing: bool):
-    """The simple-cycle search behind `simple_cycles` and `cycle_classes`.
-
-    Returns every simple cycle as a directed edge list (listing) or the set
-    of their packed oriented classes.  Each cycle is found once and counted
-    against `budget`.  A path carries its class as one integer, the signed
-    sum of its edges' packed lift offsets; the edge path is kept (one list,
-    pushed and popped in place) only when listing.
-
-    Closed loops and self loops are cycles on their own.  Every other cycle
-    comes from a DFS rooted at its smallest vertex that leaves the root
-    through one edge and closes only through an edge of larger id, so each
-    cycle is walked in one direction and a root's last edge starts no
-    walk.  A naive DFS is tried first; if its node count explodes
-    (sparse-cycle graphs can have huge dead path spaces) the search
-    restarts and prunes every branch that can no longer close, which is
-    output-bounded."""
-    g = s.graph
-    assert sum(abs(w) for _, w in s.offsets.values()) < _PACK // 2
-    packed = {e: _pack(c) for e, c in s.offsets.items()}
-    found: list | set = [] if listing else set()
-    path: list[tuple[int, int]] = []
-    count = 0
-
-    def emit(cls: int, e: int, d: int) -> None:
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise CycleBudgetError(f"cycle enumeration exceeded budget {budget}")
-        if listing:
-            found.append(path + [(e, d)])
-        else:
-            found.add(abs(cls))
-
-    adj: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in s.vertices}
-    for e in s.edges:
-        te, he = g.edges[e].tail, g.edges[e].head
-        step = packed.get(e, 0)
-        if te is None or te == he:
-            emit(step, e, 1)
-        else:
-            adj[te].append((e, he, 1, step))
-            adj[he].append((e, te, -1, -step))
-
-    def walk(prune: bool) -> None:
-        nodes = 0
-        root = first = 0
-        visited: set[int] = set()
-
-        def closes(src: int) -> bool:
-            """Whether src reaches the root through unvisited vertices and
-            an edge of larger id than the first."""
-            seen = {src}
-            stack = [src]
-            while stack:
-                for e, other, _, _ in adj[stack.pop()]:
-                    if other == root:
-                        if e > first:
-                            return True
-                    elif other > root and other not in seen and other not in visited:
-                        seen.add(other)
-                        stack.append(other)
-            return False
-
-        def dfs(v: int, cls: int) -> None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > _NODE_CAP and not prune:
-                raise _NodeCapExceeded
-            for e, other, d, step in adj[v]:
-                if other == root:
-                    if e > first:
-                        emit(cls + step, e, d)
-                elif other > root and other not in visited and (not prune or closes(other)):
-                    visited.add(other)
-                    if listing:
-                        path.append((e, d))
-                    dfs(other, cls + step)
-                    if listing:
-                        path.pop()
-                    visited.remove(other)
-
-        for root in sorted(adj):
-            starts = [a for a in adj[root] if a[1] > root]
-            for first, other, d, step in starts[:-1]:
-                visited = {root, other}
-                if listing:
-                    path[:] = [(first, d)]
-                dfs(other, step)
-
-    base, base_count = len(found), count
-    try:
-        walk(prune=False)
-    except _NodeCapExceeded:
-        # the restart finds every cycle again; a class set may keep what
-        # the naive pass found, a listing may not
-        count = base_count
-        if listing:
-            del found[base:]
-        walk(prune=True)
-    return found
-
-
 def simple_cycles(
     s: LevelSubgraph, budget: int = CYCLE_BUDGET
 ) -> list[list[tuple[int, int]]]:
     """All simple cycles of the level subgraph as directed edge lists
-    (edge id, +1 upward / -1 downward), each listed once; more than
-    `budget` cycles raise CycleBudgetError.  Exponential in the worst case;
-    only the tests call it now, as the reference enumeration."""
-    return _cycle_search(s, budget, listing=True)
+    (edge id, +1 upward / -1 downward), each listed once; the
+    (budget + 1)-th cycle raises CycleBudgetError.
+
+    Closed loops and self loops come first, in edge order.  Every other
+    cycle comes from a DFS rooted at its smallest vertex that leaves the
+    root through one edge and closes only through an edge of larger id, so
+    each cycle is walked in one direction and a root's last edge starts no
+    walk.  Exponential in the worst case; only the tests call it, as the
+    reference enumeration."""
+    g = s.graph
+    found: list[list[tuple[int, int]]] = []
+
+    def emit(cycle: list[tuple[int, int]]) -> None:
+        if len(found) == budget:
+            raise CycleBudgetError(f"cycle enumeration exceeded budget {budget}")
+        found.append(cycle)
+
+    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in s.vertices}
+    for e in s.edges:
+        te, he = g.edges[e].tail, g.edges[e].head
+        if te is None or te == he:
+            emit([(e, 1)])
+        else:
+            adj[te].append((e, he, 1))
+            adj[he].append((e, te, -1))
+
+    path: list[tuple[int, int]] = []
+    visited: set[int] = set()
+
+    def dfs(root: int, first: int, v: int) -> None:
+        for e, other, d in adj[v]:
+            if other == root:
+                if e > first:
+                    emit(path + [(e, d)])
+            elif other > root and other not in visited:
+                visited.add(other)
+                path.append((e, d))
+                dfs(root, first, other)
+                path.pop()
+                visited.remove(other)
+
+    for root in sorted(adj):
+        starts = [a for a in adj[root] if a[1] > root]
+        for first, other, d in starts[:-1]:
+            visited = {root, other}
+            path = [(first, d)]
+            dfs(root, first, other)
+    return found
 
 
 def cycle_classes(s: LevelSubgraph, budget: int = CYCLE_BUDGET) -> set[HomologyClass]:
     """Homology classes of all simple cycles, oriented canonically; the class
-    (0,0) marks trivial cycles (they bound discs in the torus).  The tests'
-    reference for `simple_cycle_classes`, which the decision reads instead."""
-    return {_unpack(p) for p in _cycle_search(s, budget, listing=False)}
+    (0,0) marks trivial cycles (they bound discs in the torus).  Each
+    `simple_cycles` cycle's class is the signed sum of its edges' lift
+    offsets.  The tests' reference for `simple_cycle_classes`, which the
+    decision reads instead."""
+    out: set[HomologyClass] = set()
+    for cycle in simple_cycles(s, budget):
+        u = w = 0
+        for e, d in cycle:
+            du, dw = s.offsets.get(e, (0, 0))
+            u += d * du
+            w += d * dw
+        out.add((u, w) if (u, w) >= (0, 0) else (-u, -w))
+    return out
 
 
 def is_degenerate(s: LevelSubgraph) -> bool:

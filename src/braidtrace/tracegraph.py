@@ -225,7 +225,6 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
     edges: dict[int, TraceEdge] = {}
     pass_circle: dict[tuple[int, int], int] = {}
     circle_visits: dict[int, list[_Visit]] = {}
-    visit_lookup: dict[tuple[tuple[int, int], int], tuple[int, int]] = {}
 
     cid = 0
     eid = 0
@@ -244,8 +243,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
 
         visits: list[_Visit] = []
         for p, pair in enumerate(orbit):
-            for rank, vv in enumerate(pass_visits.get(pair, ())):
-                visit_lookup[(pair, rank)] = (cid, len(visits))
+            for vv in pass_visits.get(pair, ()):
                 visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair))
         circle_visits[cid] = visits
 
@@ -311,34 +309,64 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
         v.below = tuple(e for _, e, _ in sorted(items, key=lambda x: -x[0]))
         v.above = tuple(e for _, _, e in sorted(items, key=lambda x: x[0]))
 
-    # symmetry partners via reversed ordered pairs; visit ranks match because
-    # the t+pi shift preserves z
+    # t+pi partners: a circle's partner carries the reversed ordered pairs
     circle_partner = {
         pass_circle[pair]: pass_circle[(pair[1], pair[0])] for pair in pass_circle
     }
-    rank_of: dict[tuple[tuple[int, int], int], int] = {}
-    for pair, visits in pass_visits.items():
-        for rank, vv in enumerate(visits):
-            rank_of.setdefault((pair, vv.vertex), rank)
-    edge_partner: dict[int, int] = {}
-    for c in circles.values():
-        visits = circle_visits[c.id]
-        if not visits:
-            edge_partner[c.edges[0]] = circles[circle_partner[c.id]].edges[0]
-            continue
-        for k, vv in enumerate(visits):
-            rank = rank_of[vv.pair, vv.vertex]
-            pcid, pk = visit_lookup[((vv.pair[1], vv.pair[0]), rank)]
-            assert pcid == circle_partner[c.id]
-            edge_partner[c.edges[k]] = circles[pcid].edges[pk]
-
     graph = TraceGraph(
         n, w, cs, vertices, edges, circles,
-        vertex_partner, edge_partner, circle_partner, pass_circle,
+        vertex_partner, {}, circle_partner, pass_circle,
         paths=paths,
     )
+    pair_partners(graph)
     _assign_markings(graph)
     return graph
+
+
+def _circle_visits(g: TraceGraph, c: TraceCircle) -> list[int]:
+    """Vertex of each junction along the circle; visit k is the tail of
+    edges[k].  Empty for vertex-free circles."""
+    if c.edges and g.edges[c.edges[0]].tail is None:
+        return []
+    return [g.edges[e].tail for e in c.edges]
+
+
+def pair_partners(g: TraceGraph) -> None:
+    """The t+pi pairing of the graph's vertices and edges, read from its
+    vertex pairing and circle pairing.
+
+    Vertex pairs with a missing end are dropped.  A circle's edges pair
+    with its partner circle's at the first cyclic shift that carries every
+    visit to its vertex's partner; a vertex-free circle pairs with a
+    vertex-free partner.  On a built graph every vertex and edge is
+    paired.  Overlapping trihedra let a reduction keep different vertices
+    on the two symmetric sides (the results are isotopic, not pointwise
+    symmetric), so there records without a literal partner drop out of
+    the pairing."""
+    g.vertex_partner = {
+        a: b for a, b in g.vertex_partner.items() if a in g.vertices and b in g.vertices
+    }
+    edge_partner = {}
+    for c in g.circles.values():
+        pc = g.circles[g.circle_partner[c.id]]
+        visits = _circle_visits(g, c)
+        pvisits = _circle_visits(g, pc)
+        if not visits:
+            if not pvisits and len(pc.edges) == len(c.edges) == 1:
+                edge_partner[c.edges[0]] = pc.edges[0]
+            continue
+        if any(v not in g.vertex_partner for v in visits):
+            continue
+        expected = [g.vertex_partner[v] for v in visits]
+        K = len(visits)
+        if len(pvisits) != K:
+            continue
+        for s in range(K):
+            if all(pvisits[(x + s) % K] == expected[x] for x in range(K)):
+                for x in range(K):
+                    edge_partner[c.edges[x]] = pc.edges[(x + s) % K]
+                break
+    g.edge_partner = edge_partner
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,8 @@ t-displacement, the canonical JSON writer and the t+pi vertex matcher are
 checked against their earlier, plainer forms: a scan of every exchange
 window, a level read from every track's position, a writer that
 dispatches by isinstance and a match of every vertex against every vertex.
+The t+pi edge pairing of a built graph is checked against the builder's
+earlier pairing of pass visits by their rank along the reversed pair.
 """
 
 from __future__ import annotations
@@ -435,6 +437,36 @@ def scanned_symmetry_involution(graph) -> dict[int, int]:
         if pm != m.reversed(lengths):
             raise GenericityError(f"marking {m} does not reverse to {pm}")
     return pairing
+
+
+def ranked_edge_partner(graph) -> dict[int, int]:
+    """The t+pi edge pairing of a built graph as the builder once read it.
+
+    The visits of one ordered track pair lie together along its circle, in
+    increasing z, and the t+pi shift keeps z, so the visit of rank r of a
+    pair is paired with the visit of rank r of the reversed pair; the edge
+    leaving one is paired with the edge leaving the other.  Vertex-free
+    circles pair their single edges."""
+    leaving: dict[tuple[tuple[int, int], int], int] = {}
+    ranked: list[tuple[int, tuple[int, int], int]] = []
+    for c in graph.circles.values():
+        rank: dict[tuple[int, int], int] = {}
+        for e in c.edges:
+            pair = graph.edges[e].tail_pair
+            if pair is None:
+                continue
+            r = rank.get(pair, 0)
+            rank[pair] = r + 1
+            leaving[pair, r] = e
+            ranked.append((e, pair, r))
+    partner = {
+        c.edges[0]: graph.circles[graph.circle_partner[c.id]].edges[0]
+        for c in graph.circles.values()
+        if graph.edges[c.edges[0]].tail is None
+    }
+    for e, (a, b), r in ranked:
+        partner[e] = leaving[(b, a), r]
+    return partner
 
 
 def golden_words():

@@ -195,6 +195,34 @@ class TestEliminate:
             assert g2.circles[cid].dz_total == g3.circles[cid].dz_total
             assert g2.circles[cid].dt_winding == g3.circles[cid].dt_winding
 
+    def test_partners_name_survivors(self):
+        # the t+pi pairing is read again after the splice: no entry names
+        # a deleted record, and paired edges keep the level law
+        spliced = 0
+        for l in range(6):
+            for w in iter_reduced_words(3, l):
+                g = build_trace_graph(w)
+                for t in eq.find_embedded_trihedra(g):
+                    if not eq.is_eliminable(g, t):
+                        continue
+                    h = eq.eliminate_trihedron(g, t)
+                    vp, ep = h.vertex_partner, h.edge_partner
+                    assert set(vp) | set(vp.values()) <= set(h.vertices), w
+                    assert set(ep) | set(ep.values()) <= set(h.edges), w
+                    assert all(h.edges[p].level == 3 - h.edges[e].level for e, p in ep.items())
+                    spliced += 1
+        assert spliced
+        # one trihedron of a t+pi couple leaves its partner's vertices
+        # unpaired; eliminating the other one pairs every survivor again
+        g = build_trace_graph(parse_word("s1 s2 s1^-1", 3))
+        t = next(t for t in eq.find_embedded_trihedra(g) if eq.is_eliminable(g, t))
+        h = eq.eliminate_trihedron(g, t)
+        assert h.vertex_partner == {2: 3, 3: 2} and h.edge_partner == {}
+        (t,) = [t for t in eq.find_embedded_trihedra(h) if eq.is_eliminable(h, t)]
+        h = eq.eliminate_trihedron(h, t)
+        assert set(h.vertex_partner) == set(h.vertices) == {2, 3}
+        assert set(h.edge_partner) == set(h.edges)
+
     def test_not_eliminable_raises(self):
         g = build_trace_graph(parse_word("s1 s2^-1", 3))
         t = eq.find_embedded_trihedra(g)[0]

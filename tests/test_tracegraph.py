@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     full_scan_delta_t,
     golden_words,
+    ranked_edge_partner,
     scanned_level,
     scanned_symmetry_involution,
     wide_words,
@@ -28,7 +29,13 @@ from braidtrace.tracegraph import (
     singular_t_values,
     symmetry_involution,
 )
-from braidtrace.words import BraidWord, iter_reduced_words, parse_word, permutation
+from braidtrace.words import (
+    BraidWord,
+    iter_reduced_words,
+    parse_word,
+    permutation,
+    random_word,
+)
 
 # sha256 over float.hex of every vertex z, t and edge dz, dt (with the edge
 # level) of golden_words() and wide_words(), as built before the builder
@@ -228,6 +235,16 @@ class TestSymmetry:
         for e in g.edges.values():
             assert g.edges[g.edge_partner[e.id]].level == 4 - e.level
 
+    def test_edge_pairing_matches_visit_ranks(self):
+        # the builder pairs edges through its vertex pairing, as reduction
+        # does; the reference pairs pass visits by rank along each pair
+        rng = random.Random(3164)
+        seeded = [random_word(n, rng.randint(1, 16), rng) for n in (3, 4, 5, 6) for _ in range(20)]
+        for w in golden_words() + seeded:
+            g = build_trace_graph(w)
+            assert g.edge_partner == ranked_edge_partner(g), w
+            assert len(g.edge_partner) == len(g.edges)
+
     @staticmethod
     def outcome(match, g):
         try:
@@ -390,8 +407,6 @@ class TestLocalStructure:
             assert set(mid.head_pair) == {v.strands[0], v.strands[2]}
 
     def test_random_words_pass_checks(self, rng):
-        from braidtrace.words import random_word
-
         for _ in range(6):
             n = rng.choice((3, 4, 5))
             w = random_word(n, rng.randint(1, 6), rng)
