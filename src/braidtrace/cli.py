@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import equivalence as eq
-from . import oracle
 from . import threebraid as tb
 from .checks import run_structure_checks
 from .serialize import canonical_json, document_to_graph, graph_to_document, to_dot
@@ -61,32 +60,24 @@ def cmd_compare(args) -> int:
         print("equivalent")
         print(f"witness: {res.witness}")
         return 0
-    print("not equivalent")
+    if args.mode == "trihedral":
+        # trihedral equivalence is incomplete: a miss is not a proof
+        print("no trihedral relation found")
+    else:
+        print("not equivalent")
     return 1
 
 
 def cmd_conj3(args) -> int:
     a = parse_word(args.a, 3)
     b = parse_word(args.b, 3)
-    res = tb.conjugate_3braids(a, b, oracle_depth=args.oracle_depth)
-    # conjugate_3braids searched already before a FALSE or INCONCLUSIVE
-    # verdict, except when the cycle types differ, where no conjugator exists
-    if res.verdict is tb.Verdict.TRUE:
-        cross = oracle.conjugator_search(a, b, args.oracle_depth)
-        status = "consistent" if cross is not None else "no witness at this depth"
-    else:
-        cross = res.oracle_witness
-        status = "consistent" if res.verdict is tb.Verdict.FALSE else "surfaced discrepancy"
+    # conjugate_3braids raises when the exact check disagrees with its verdict
+    res = tb.conjugate_3braids(a, b)
     print(f"verdict: {res.verdict.value}")
     if res.relabeling:
         print(f"witness relabeling: {res.relabeling} (power {res.power})")
-    print(f"oracle cross-check (depth {args.oracle_depth}): "
-          f"witness={'yes' if cross is not None else 'none found'}, {status}")
-    if res.verdict is tb.Verdict.TRUE:
-        return 0
-    if res.verdict is tb.Verdict.FALSE:
-        return 1
-    return 2
+    print("exact B3 cross-check (Z/2 * Z/3 normal form and exponent sum): agrees")
+    return 0 if res else 1
 
 
 def cmd_invariants(args) -> int:
@@ -161,7 +152,6 @@ def make_parser() -> argparse.ArgumentParser:
     j = sub.add_parser("conj3", help="decide conjugacy of two 3-braids")
     j.add_argument("--a", required=True)
     j.add_argument("--b", required=True)
-    j.add_argument("--oracle-depth", type=int, default=4)
     j.set_defaults(func=cmd_conj3)
 
     i = sub.add_parser("invariants", help="print linking numbers and cyclic invariants")

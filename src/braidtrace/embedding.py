@@ -16,13 +16,6 @@ perturbing anything silently.  Every event is the root of a bracketed
 function along one exchange window, found by `brentq`, an in-package port
 of scipy's Brent solver that returns the same doubles, so the package
 needs no numerical library.
-
-Known limit: `slot_angles` accepts n <= 12, but `letter_geometry` raises
-GenericityError ("two trisecants too close") for s_1^(+-1) at n = 9, for
-s_1, s_2 at n = 10 and for s_1 to s_3 at n = 11: 2 of the 16 (slot, sign)
-letters, 4 of 18 and 6 of 20.  At n = 12 it raises for all 22 letters
-(4 "two trisecants too close", 18 "trisecant y-order degenerate").  Words
-on 9 or more strands build only when they avoid those letters.
 """
 
 from __future__ import annotations
@@ -173,8 +166,9 @@ class SlotPlacement:
 
 @lru_cache(maxsize=None)
 def slot_angles(n: int) -> SlotPlacement:
-    if not 2 <= n <= 12:
-        raise ValueError(f"supported strand range is 2..12, got {n}")
+    # from n = 9 on, letter_geometry finds no generic geometry for some letters
+    if not 2 <= n <= 8:
+        raise ValueError(f"supported strand range is 2..8, got {n}")
     angles = tuple(2.0 ** (1 - j) * math.pi for j in range(1, n)) + (0.0,)
     pts = tuple((math.cos(a), math.sin(a)) for a in angles)
     xs = [p[0] for p in pts]

@@ -1,19 +1,32 @@
 """Independent ground truth at desk scale.
 
 The reduced Burau representation is faithful on B_3, so matrix equality
-decides the word problem there exactly; a breadth-first conjugator search
-on top of it gives a semi-decision for conjugacy.  Everything here uses
-exact integer Laurent polynomials, no floating point.
+decides the word problem there exactly; it uses exact integer Laurent
+polynomials, no floating point.
+
+`conjugate_b3` decides conjugacy in B_3 exactly, with no search.  Modulo
+its centre <Delta^2>, B_3 is PSL(2,Z) = Z/2 * Z/3, generated by
+x = s1 s2 s1 and y = s1 s2.  In a free product, two cyclically reduced
+elements are conjugate exactly when one is a cyclic rotation of the other
+(Magnus, Karrass and Solitar, Combinatorial Group Theory, section 4.1), and
+Delta^2 has exponent sum 6, so two 3-braids are conjugate exactly when
+their cyclically reduced images are rotations of each other and their
+exponent sums are equal.  The trace-graph decision in `threebraid` is
+checked against it.
+
+The breadth-first conjugator search over the Burau ball (`conjugator_search`,
+`_ball_elements`) finds a conjugator up to a length bound and so only
+semi-decides; the tests use it as a second reference, and the benchmark's
+tracing binds `conjugator_search` by name.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .words import BraidWord, cycle_structure, free_reduce, permutation
+from .words import BraidWord, cycle_structure, exponent_sum
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over Z in one variable
@@ -114,7 +127,7 @@ def identity_matrix(k: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Reduced Burau for B_3 (faithful) and unreduced Burau for general n
+# Reduced Burau for B_3 (faithful)
 
 
 def _burau3_generators() -> dict[tuple[int, int], Matrix]:
@@ -138,117 +151,6 @@ def burau3(w: BraidWord) -> Matrix:
     for letter in w.letters:
         m = mat_mul(m, _B3_GENS[letter])
     return m
-
-
-def burau_unreduced(w: BraidWord) -> Matrix:
-    """Unreduced Burau matrix (n x n); a conjugacy-invariant container for n >= 4."""
-    t = Laurent.var(1)
-    tinv = Laurent.var(-1)
-    m = identity_matrix(w.n)
-    for i, sign in w.letters:
-        g = [[_ONE if a == b else _ZERO for b in range(w.n)] for a in range(w.n)]
-        r = i - 1
-        if sign > 0:
-            g[r][r] = _ONE - t
-            g[r][r + 1] = t
-            g[r + 1][r] = _ONE
-            g[r + 1][r + 1] = _ZERO
-        else:
-            g[r][r] = _ZERO
-            g[r][r + 1] = _ONE
-            g[r + 1][r] = tinv
-            g[r + 1][r + 1] = _ONE - tinv
-        m = mat_mul(m, tuple(tuple(row) for row in g))
-    return m
-
-
-def char_poly(m: Matrix) -> tuple[Laurent, ...]:
-    """Coefficients of det(xI - M), degree 0..k, each a Laurent polynomial.
-
-    Cofactor expansion with memoisation on column subsets; fine for k <= 6.
-    """
-    from functools import lru_cache
-
-    k = len(m)
-
-    def padd(a, b):
-        n = max(len(a), len(b))
-        a = list(a) + [_ZERO] * (n - len(a))
-        b = list(b) + [_ZERO] * (n - len(b))
-        return tuple(x + y for x, y in zip(a, b))
-
-    def pscale(a, c: Laurent):
-        return tuple(x * c for x in a)
-
-    @lru_cache(maxsize=None)
-    def minor_det(rows: tuple[int, ...], cols: tuple[int, ...]):
-        # determinant of the (xI - M) minor, as x-poly with Laurent coefficients
-        if not rows:
-            return (_ONE,)
-        r = rows[0]
-        acc: tuple = (_ZERO,)
-        for pos, c in enumerate(cols):
-            entry_poly = (-m[r][c], _ONE) if r == c else (-m[r][c],)
-            sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1:])
-            term: tuple = (_ZERO,)
-            for d, coeff in enumerate(entry_poly):
-                if coeff:
-                    term = padd(term, (_ZERO,) * d + tuple(pscale(sub, coeff)))
-            if pos % 2 == 1:
-                term = pscale(term, Laurent.const(-1))
-            acc = padd(acc, term)
-        return acc
-
-    idx = tuple(range(k))
-    out = minor_det(idx, idx)
-    return tuple(out) + (_ZERO,) * (k + 1 - len(out))
-
-
-@dataclass(frozen=True)
-class InvariantScreen:
-    """Cheap conjugacy invariants; equal for conjugate braids, labelled non-conclusive.
-
-    Conjugation may relabel the closure components, so linking_numbers is
-    not listed by component label: the components are put in order of
-    increasing cycle length (the order of cycle_type), and of the orders
-    that do so the one giving the lexicographically least tuple
-    (lk_12, lk_13, ..., lk_1c, lk_23, ..., lk_(c-1)c) is kept.  Components of
-    different lengths are therefore never exchanged.
-    """
-
-    exponent_sum: int
-    cycle_type: tuple[int, ...]
-    linking_numbers: tuple[int, ...]
-    burau_char_poly: tuple[tuple, ...]
-
-
-def _canonical_linking_numbers(w: BraidWord) -> tuple[int, ...]:
-    """Pairwise linking numbers in the relabel-invariant order described on
-    InvariantScreen."""
-    from .words import linking_number
-
-    cs = cycle_structure(w)
-    labels = range(1, cs.num_components + 1)
-    lk = {}
-    for i, j in itertools.combinations(labels, 2):
-        lk[i, j] = lk[j, i] = linking_number(w, i, j)
-    by_length = sorted(cs.lengths)
-    return min(
-        tuple(lk[a, b] for a, b in itertools.combinations(order, 2))
-        for order in itertools.permutations(labels)
-        if [cs.lengths[c - 1] for c in order] == by_length
-    )
-
-
-def invariant_screen(w: BraidWord) -> InvariantScreen:
-    from .words import exponent_sum
-
-    cs = cycle_structure(w)
-    mat = burau3(w) if w.n == 3 else burau_unreduced(w)
-    cp = tuple(c.key() for c in char_poly(mat))
-    return InvariantScreen(
-        exponent_sum(w), tuple(sorted(cs.lengths)), _canonical_linking_numbers(w), cp
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +200,54 @@ def conjugator_search(a: BraidWord, b: BraidWord, max_len: int = 8) -> Optional[
         if mat_mul(mw, ma) == mat_mul(mb, mw):
             return BraidWord(3, word)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Exact conjugacy in B_3
+
+# images of the letters modulo the centre, as syllables of Z/2 * Z/3 =
+# <x, y | x^2, y^3>: "x" is x, "y" is y and "Y" is y^2
+_MOD_CENTRE = {(1, 1): "Yx", (2, 1): "xY", (1, -1): "xy", (2, -1): "yx"}
+# product of two syllables of one factor; "" is the identity
+_SYLLABLE_PRODUCT = {"xx": "", "yy": "Y", "yY": "", "Yy": "", "YY": "y"}
+
+
+def _same_factor(u: str, v: str) -> bool:
+    return (u == "x") == (v == "x")
+
+
+def _cyclically_reduced_mod_centre(w: BraidWord) -> str:
+    """Syllables of a cyclically reduced conjugate of w's image in Z/2 * Z/3."""
+    stack: list[str] = []
+    for syllable in "".join(_MOD_CENTRE[letter] for letter in w.letters):
+        if stack and _same_factor(stack[-1], syllable):
+            syllable = _SYLLABLE_PRODUCT[stack.pop() + syllable]
+        if syllable:
+            stack.append(syllable)
+    # conjugate the last syllable onto the first while they share a factor
+    i, j = 0, len(stack)
+    while j - i > 1 and _same_factor(stack[i], stack[j - 1]):
+        j -= 1
+        product = _SYLLABLE_PRODUCT[stack[j] + stack[i]]
+        if product:
+            stack[i] = product
+        else:
+            i += 1
+    return "".join(stack[i:j])
+
+
+def conjugate_b3(a: BraidWord, b: BraidWord) -> bool:
+    """Exact conjugacy in B_3: equal exponent sums, and cyclically reduced
+    images modulo the centre that are rotations of each other."""
+    if a.n != 3 or b.n != 3:
+        raise ValueError("conjugate_b3 works in B_3")
+    if exponent_sum(a) != exponent_sum(b):
+        return False
+    u = _cyclically_reduced_mod_centre(a)
+    v = _cyclically_reduced_mod_centre(b)
+    # one character per syllable, so v is a rotation of u exactly when it
+    # is as long and occurs in u written twice
+    return len(u) == len(v) and v in u + u
 
 
 # ---------------------------------------------------------------------------

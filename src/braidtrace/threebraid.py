@@ -4,13 +4,16 @@ For a pure 3-braid the trace circles are labelled by plain ordered
 component pairs, and the column of vertex triplets read along one circle
 of the reduced trace graph, together with one linking number, classifies
 the closure up to conjugacy with ordered components.  Arbitrary 3-braids
-reduce to the pure case by raising to the power that kills the
-permutation and trying the six component relabelings.  A relabeling needs
-no new graph: conjugating a pure braid p by a lift of the permutation pi
-only renames the closure's components (component j of the conjugate is
-component pi(j) of p), and the linking number and the column are invariants
-of the ordered closure.  So the conjugate's invariants are exactly those of
-components pi(1), pi(2) in p's own reduced graph, with pi(j) renamed j.
+reduce to the pure case by raising both to a common power that kills the
+permutation, which is sound because roots in braid groups are unique up to
+conjugacy (Gonzalez-Meneses 2003), and by trying the six component
+relabelings.  A relabeling needs no new graph: conjugating a pure braid p
+by a lift of the permutation pi only renames the closure's components
+(component j of the conjugate is component pi(j) of p), and the linking
+number and the column are invariants of the ordered closure.  So the
+conjugate's invariants are exactly those of components pi(1), pi(2) in
+p's own reduced graph, with pi(j) renamed j.  Every decision is checked
+against the exact B_3 conjugacy test `oracle.conjugate_b3`.
 """
 
 from __future__ import annotations
@@ -151,7 +154,6 @@ def _profile(p: BraidWord, perm: tuple[int, int, int] = (1, 2, 3)) -> tuple:
 class Verdict(Enum):
     TRUE = "true"
     FALSE = "false"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,6 @@ class Conjugacy3Result:
     verdict: Verdict
     relabeling: Optional[tuple[int, ...]] = None  # witness permutation of components
     power: int = 1
-    oracle_witness: Optional[BraidWord] = None
 
     def __bool__(self) -> bool:
         return self.verdict is Verdict.TRUE
@@ -169,33 +170,32 @@ class Conjugacy3Result:
 _PERMUTATIONS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1))
 
 
-def conjugate_3braids(
-    a: BraidWord, b: BraidWord, oracle_depth: int = 4
-) -> Conjugacy3Result:
+def conjugate_3braids(a: BraidWord, b: BraidWord) -> Conjugacy3Result:
     """Conjugacy decision for arbitrary 3-braids.
 
-    Braids are conjugate exactly when a common pure power is, so both are
-    raised to the order of their permutations and the pure ordered test
-    runs against every component relabeling of a's power, read from its one
-    reduced graph, in the order of the positive lifts 1, s1, s2, s1 s2,
-    s2 s1, s1 s2 s1; the first match is the witness.  A negative invariant
-    verdict is cross-checked against the conjugator search; a surviving
-    oracle witness downgrades the answer to inconclusive rather than
-    patching it.
+    Braids are conjugate exactly when a common pure power is (Gonzalez-Meneses
+    2003), so both are raised to the order of their permutations and the
+    pure ordered test runs against every component relabeling of a's power,
+    read from its one reduced graph, in the order of the positive lifts 1,
+    s1, s2, s1 s2, s2 s1, s1 s2 s1; the first match is the witness.  Every
+    verdict is checked against `oracle.conjugate_b3`; a disagreement raises
+    RuntimeError.
     """
     if a.n != 3 or b.n != 3:
         raise ValueError("conjugate_3braids works in B_3")
-    if tuple(sorted(cycle_structure(a).lengths)) != tuple(
+    result = Conjugacy3Result(Verdict.FALSE)
+    if tuple(sorted(cycle_structure(a).lengths)) == tuple(
         sorted(cycle_structure(b).lengths)
     ):
-        return Conjugacy3Result(Verdict.FALSE)
-    k = math.lcm(pure_power_exponent(a), pure_power_exponent(b))
-    pa = free_reduce(power(a, k))
-    prof_b = _profile(free_reduce(power(b, k)))
-    for perm in _PERMUTATIONS:
-        if _profile(pa, perm) == prof_b:
-            return Conjugacy3Result(Verdict.TRUE, perm, k)
-    witness = oracle.conjugator_search(a, b, oracle_depth)
-    if witness is not None:
-        return Conjugacy3Result(Verdict.INCONCLUSIVE, None, k, witness)
-    return Conjugacy3Result(Verdict.FALSE, None, k)
+        k = math.lcm(pure_power_exponent(a), pure_power_exponent(b))
+        pa = free_reduce(power(a, k))
+        prof_b = _profile(free_reduce(power(b, k)))
+        perm = next((p for p in _PERMUTATIONS if _profile(pa, p) == prof_b), None)
+        result = Conjugacy3Result(Verdict.TRUE if perm else Verdict.FALSE, perm, k)
+    exact = oracle.conjugate_b3(a, b)
+    if bool(result) != exact:
+        raise RuntimeError(
+            f"3-braid conjugacy of '{a}' and '{b}': the trace-graph invariant "
+            f"says {result.verdict.value}, the exact B3 check says {str(exact).lower()}"
+        )
+    return result

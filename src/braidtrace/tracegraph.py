@@ -741,34 +741,3 @@ def read_word_at(g, t: float) -> BraidWord:
     paths = _paths_of(g)
     crossings = read_fiber(g, t)
     return BraidWord(paths.n, tuple((c.level, c.sign) for c in crossings))
-
-
-@dataclass(frozen=True)
-class GaussDiagram:
-    """Chord diagram of a fiber: marked points on the component circles paired
-    by crossings; the two endpoints of a crossing carry reversed labels."""
-
-    points: tuple[tuple[int, float, int, Marking], ...]  # (component, position, crossing, label)
-    chords: tuple[tuple[int, int], ...]
-
-
-def gauss_diagram(g, t: float) -> GaussDiagram:
-    paths = _paths_of(g)
-    cs = cycle_structure(paths.word)
-    idx = component_indexing(cs)
-    lengths = cs.lengths
-    crossings = read_fiber(g, t)
-    raw = []
-    for ci, cr in enumerate(crossings):
-        mk = cr.marking if cr.marking is not None else Marking(*cr.comp_pair, 0)
-        for track, label in ((cr.over, mk), (cr.under, mk.reversed(lengths))):
-            comp = cs.component_of[track - 1]
-            position = (idx[track] + cr.z) / lengths[comp - 1]
-            raw.append((comp, position, ci, label))
-    order = sorted(range(len(raw)), key=lambda p: (raw[p][0], raw[p][1]))
-    rank = {p: r for r, p in enumerate(order)}
-    chords = []
-    for ci in range(len(crossings)):
-        ends = [rank[p] for p in range(len(raw)) if raw[p][2] == ci]
-        chords.append((ends[0], ends[1]))
-    return GaussDiagram(tuple(raw[p] for p in order), tuple(chords))

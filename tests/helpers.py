@@ -5,7 +5,9 @@ package (Johnson's blocked search on the directed double cover, and plain
 edge-subset enumeration for tiny graphs) so that agreement is meaningful.
 The base-point search of the isotopy decision is checked against a walk of
 the full product of base offsets, the 3-braid invariants against a Burau
-ball partition and random rewriting, and the relabelled 3-braid profile
+ball partition, random rewriting and a screen of cheap conjugacy
+invariants (exponent sum, cycle type, linking numbers, Burau
+characteristic polynomial), and the relabelled 3-braid profile
 against the profile of each rebuilt conjugate.  The builder's
 t-displacement, the canonical JSON writer and the t+pi vertex matcher are
 checked against their earlier, plainer forms: a scan of every exchange
@@ -17,21 +19,36 @@ earlier pairing of pass visits by their rank along the reversed pair.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from braidtrace import equivalence as eq
 from braidtrace.embedding import GenericityError, rot_x, t_over, wrap_pm_pi
 from braidtrace.levels import CYCLE_BUDGET, simple_cycles
-from braidtrace.oracle import Laurent, _ball_elements, burau3, mat_key, mat_mul
+from braidtrace.oracle import (
+    _ONE,
+    _ZERO,
+    Laurent,
+    Matrix,
+    _ball_elements,
+    burau3,
+    identity_matrix,
+    mat_key,
+    mat_mul,
+)
 from braidtrace.threebraid import TripletColumn, cyclic_invariant, minimal_rotation
 from braidtrace.tracegraph import SYMMETRY_TOL
 from braidtrace.words import (
     BraidWord,
     concatenate,
+    cycle_structure,
+    exponent_sum,
     free_reduce,
     invert,
     linking_number,
@@ -305,6 +322,117 @@ def _full_product_offsets(trip1, trip2) -> Optional[dict]:
         return False
 
     return {str(m): offs[m] for m in order} if walk(0) else None
+
+
+# ---------------------------------------------------------------------------
+# Invariant screen: cheap conjugacy invariants, necessary but not sufficient
+
+
+def burau_unreduced(w: BraidWord) -> Matrix:
+    """Unreduced Burau matrix (n x n); a conjugacy-invariant container for n >= 4."""
+    t = Laurent.var(1)
+    tinv = Laurent.var(-1)
+    m = identity_matrix(w.n)
+    for i, sign in w.letters:
+        g = [[_ONE if a == b else _ZERO for b in range(w.n)] for a in range(w.n)]
+        r = i - 1
+        if sign > 0:
+            g[r][r] = _ONE - t
+            g[r][r + 1] = t
+            g[r + 1][r] = _ONE
+            g[r + 1][r + 1] = _ZERO
+        else:
+            g[r][r] = _ZERO
+            g[r][r + 1] = _ONE
+            g[r + 1][r] = tinv
+            g[r + 1][r + 1] = _ONE - tinv
+        m = mat_mul(m, tuple(tuple(row) for row in g))
+    return m
+
+
+def char_poly(m: Matrix) -> tuple[Laurent, ...]:
+    """Coefficients of det(xI - M), degree 0..k, each a Laurent polynomial.
+
+    Cofactor expansion with memoisation on column subsets; fine for k <= 6.
+    """
+    k = len(m)
+
+    def padd(a, b):
+        n = max(len(a), len(b))
+        a = list(a) + [_ZERO] * (n - len(a))
+        b = list(b) + [_ZERO] * (n - len(b))
+        return tuple(x + y for x, y in zip(a, b))
+
+    def pscale(a, c: Laurent):
+        return tuple(x * c for x in a)
+
+    @lru_cache(maxsize=None)
+    def minor_det(rows: tuple[int, ...], cols: tuple[int, ...]):
+        # determinant of the (xI - M) minor, as x-poly with Laurent coefficients
+        if not rows:
+            return (_ONE,)
+        r = rows[0]
+        acc: tuple = (_ZERO,)
+        for pos, c in enumerate(cols):
+            entry_poly = (-m[r][c], _ONE) if r == c else (-m[r][c],)
+            sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1:])
+            term: tuple = (_ZERO,)
+            for d, coeff in enumerate(entry_poly):
+                if coeff:
+                    term = padd(term, (_ZERO,) * d + tuple(pscale(sub, coeff)))
+            if pos % 2 == 1:
+                term = pscale(term, Laurent.const(-1))
+            acc = padd(acc, term)
+        return acc
+
+    idx = tuple(range(k))
+    out = minor_det(idx, idx)
+    return tuple(out) + (_ZERO,) * (k + 1 - len(out))
+
+
+@dataclass(frozen=True)
+class InvariantScreen:
+    """Cheap conjugacy invariants; equal for conjugate braids, labelled non-conclusive.
+
+    Conjugation may relabel the closure components, so linking_numbers is
+    not listed by component label: the components are put in order of
+    increasing cycle length (the order of cycle_type), and of the orders
+    that do so the one giving the lexicographically least tuple
+    (lk_12, lk_13, ..., lk_1c, lk_23, ..., lk_(c-1)c) is kept.  Components of
+    different lengths are therefore never exchanged.
+    """
+
+    exponent_sum: int
+    cycle_type: tuple[int, ...]
+    linking_numbers: tuple[int, ...]
+    burau_char_poly: tuple[tuple, ...]
+
+
+def _canonical_linking_numbers(w: BraidWord) -> tuple[int, ...]:
+    """Pairwise linking numbers in the relabel-invariant order described on
+    InvariantScreen."""
+    cs = cycle_structure(w)
+    labels = range(1, cs.num_components + 1)
+    lk = {}
+    for i, j in itertools.combinations(labels, 2):
+        lk[i, j] = lk[j, i] = linking_number(w, i, j)
+    by_length = sorted(cs.lengths)
+    return min(
+        tuple(lk[a, b] for a, b in itertools.combinations(order, 2))
+        for order in itertools.permutations(labels)
+        if [cs.lengths[c - 1] for c in order] == by_length
+    )
+
+
+def invariant_screen(w: BraidWord) -> InvariantScreen:
+    """Exponent sum, cycle type, canonical linking numbers and the
+    characteristic polynomial of the Burau matrix."""
+    cs = cycle_structure(w)
+    mat = burau3(w) if w.n == 3 else burau_unreduced(w)
+    cp = tuple(c.key() for c in char_poly(mat))
+    return InvariantScreen(
+        exponent_sum(w), tuple(sorted(cs.lengths)), _canonical_linking_numbers(w), cp
+    )
 
 
 # ---------------------------------------------------------------------------

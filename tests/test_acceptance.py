@@ -12,7 +12,12 @@ import time
 from dataclasses import dataclass, field
 
 import pytest
-from helpers import brute_maximal_class, conjugacy_classes_within_ball, johnson_cycle_classes
+from helpers import (
+    brute_maximal_class,
+    conjugacy_classes_within_ball,
+    invariant_screen,
+    johnson_cycle_classes,
+)
 
 from braidtrace import equivalence as eq
 from braidtrace import levels as lv
@@ -235,7 +240,7 @@ class TestCriterion6:
 class TestCriterion7:
     def test_oracle_concordance(self):
         words = [w for l in range(0, 5) for w in iter_reduced_words(3, l)]
-        screens = [oracle.invariant_screen(w) for w in words]
+        screens = [invariant_screen(w) for w in words]
         # bucket by cheap invariants: a depth-8 witness implies conjugacy,
         # which implies equal invariants, so cross-bucket pairs have none
         buckets = {}
@@ -256,7 +261,7 @@ class TestCriterion7:
         verdicts = {}
         for i, a in enumerate(words):
             for j, b in enumerate(words):
-                v = tb.conjugate_3braids(a, b, oracle_depth=1).verdict
+                v = tb.conjugate_3braids(a, b).verdict
                 verdicts[(i, j)] = v
                 if (i, j) in same_class:
                     assert v is tb.Verdict.TRUE, (a, b)
@@ -269,8 +274,8 @@ class TestCriterion7:
         for _ in range(300):
             a = random_word(3, rng.randint(1, 8), rng)
             b = random_word(3, rng.randint(1, 8), rng)
-            v = tb.conjugate_3braids(a, b, oracle_depth=1).verdict
-            if oracle.invariant_screen(a) == oracle.invariant_screen(b):
+            v = tb.conjugate_3braids(a, b).verdict
+            if invariant_screen(a) == invariant_screen(b):
                 witness = oracle.conjugator_search(a, b, 8)
                 if witness is not None:
                     assert v is tb.Verdict.TRUE, (a, b)

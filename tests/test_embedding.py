@@ -36,7 +36,7 @@ class TestSlotAngles:
         }
         assert len(dirs) == 3
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_margins_across_range(self, n):
         sp = slot_angles(n)
         xs = [p[0] for p in sp.points]
@@ -46,7 +46,7 @@ class TestSlotAngles:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            slot_angles(13)
+            slot_angles(9)
         with pytest.raises(ValueError):
             slot_angles(1)
 

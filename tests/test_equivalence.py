@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from helpers import isotopy_by_full_product
+from helpers import invariant_screen, isotopy_by_full_product
 
 from braidtrace import equivalence as eq
 from braidtrace import oracle
@@ -403,4 +403,4 @@ class TestEquivalentUpToTrihedral:
                 build_trace_graph(w), build_trace_graph(cw)
             )
             if res:
-                assert oracle.invariant_screen(w) == oracle.invariant_screen(cw)
+                assert invariant_screen(w) == invariant_screen(cw)

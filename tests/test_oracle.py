@@ -1,19 +1,28 @@
 import pytest
-from helpers import conjugacy_classes_within_ball, random_rewrite
+from helpers import (
+    burau_unreduced,
+    char_poly,
+    conjugacy_classes_within_ball,
+    invariant_screen,
+    random_rewrite,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidtrace import oracle
-from braidtrace.oracle import (
-    Laurent,
-    burau3,
-    burau_unreduced,
-    char_poly,
-    conjugator_search,
-    invariant_screen,
-)
+from braidtrace import cli, oracle
+from braidtrace import threebraid as tb
+from braidtrace.oracle import Laurent, burau3, conjugate_b3, conjugator_search
 from braidtrace.tracegraph import build_trace_graph
-from braidtrace.words import BraidWord, concatenate, garside_delta, invert, parse_word
+from braidtrace.words import (
+    BraidWord,
+    concatenate,
+    free_reduce,
+    garside_delta,
+    invert,
+    iter_reduced_words,
+    parse_word,
+    random_word,
+)
 
 
 def b3_words(max_len=6):
@@ -142,6 +151,58 @@ class TestInvariantScreen:
         assert invariant_screen(parse_word("s1", 3)) != invariant_screen(
             parse_word("s1^-1", 3)
         )
+
+
+class TestConjugateB3:
+    def test_agrees_with_trace_decision_on_all_short_pairs(self):
+        # every ordered pair of freely reduced words with l <= 4; the trace
+        # decision raises on disagreement, and the count was recorded before
+        # the decision was checked against conjugate_b3
+        words = [w for l in range(5) for w in iter_reduced_words(3, l)]
+        conjugate = 0
+        for a in words:
+            for b in words:
+                exact = conjugate_b3(a, b)
+                assert bool(tb.conjugate_3braids(a, b)) == exact, (a, b)
+                conjugate += exact
+        assert (len(words), conjugate) == (161, 1537)
+
+    def test_ball_classes_are_conjugate(self):
+        words = [w for l in range(4) for w in iter_reduced_words(3, l)]
+        for cls in conjugacy_classes_within_ball(words, 6):
+            for i in cls:
+                for j in cls:
+                    assert conjugate_b3(words[i], words[j]), (words[i], words[j])
+
+    def test_seeded_conjugates(self, rng):
+        for _ in range(200):
+            a = random_word(3, rng.randint(1, 24), rng)
+            beta = random_word(3, rng.randint(0, 6), rng)
+            b = free_reduce(concatenate(concatenate(beta, a), invert(beta)))
+            assert conjugate_b3(a, b), (a, beta)
+
+    def test_full_twist_is_not_trivial(self):
+        # equal images modulo the centre: only the exponent sum tells them apart
+        full_twist = concatenate(garside_delta(3), garside_delta(3))
+        assert oracle._cyclically_reduced_mod_centre(full_twist) == ""
+        assert not conjugate_b3(full_twist, BraidWord(3))
+        assert conjugate_b3(full_twist, parse_word("(s1 s2)^3", 3))
+
+    def test_small_cases(self):
+        assert conjugate_b3(parse_word("s1", 3), parse_word("s2", 3))
+        assert not conjugate_b3(parse_word("s1", 3), parse_word("s1^-1", 3))
+        assert not conjugate_b3(parse_word("s1 s2", 3), parse_word("s1^2", 3))
+        with pytest.raises(ValueError):
+            conjugate_b3(BraidWord(4), BraidWord(4))
+
+    def test_disagreement_fails_loudly(self, monkeypatch, capsys):
+        exact = oracle.conjugate_b3
+        monkeypatch.setattr(oracle, "conjugate_b3", lambda a, b: not exact(a, b))
+        for a, b in (("s1", "s2"), ("s1", "s1^-1")):
+            with pytest.raises(RuntimeError, match="exact B3 check"):
+                tb.conjugate_3braids(parse_word(a, 3), parse_word(b, 3))
+            assert cli.main(["conj3", "--a", a, "--b", b]) == 2
+            assert "exact B3 check" in capsys.readouterr().err
 
 
 class TestBruteCounts:

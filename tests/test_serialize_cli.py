@@ -10,7 +10,7 @@ from helpers import golden_words, reference_fmt
 
 import braidtrace
 from braidtrace import serialize
-from braidtrace import cli, oracle
+from braidtrace import cli
 from braidtrace import equivalence as eq
 from braidtrace.serialize import (
     SchemaError,
@@ -199,6 +199,17 @@ class TestCli:
         r = run_cli("compare", str(a), str(b), "--mode", "isotopy")
         assert r.returncode == 1  # unreduced graphs differ by the two thetas
 
+    def test_trihedral_miss_is_not_called_inequivalent(self, tmp_path):
+        # the same braid, but trihedral moves alone do not relate the two
+        # graphs; trihedral equivalence is incomplete, so a miss proves nothing
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run_cli("build", "--word", "s1 s2 s1", "--out", str(a))
+        run_cli("build", "--word", "s2 s1 s2", "--out", str(b))
+        r = run_cli("compare", str(a), str(b), "--mode", "trihedral")
+        assert r.returncode == 1
+        assert "no trihedral relation found" in r.stdout
+        assert "not equivalent" not in r.stdout
+
     def test_compare_mismatched_strands_exits_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("build", "--word", "s1", "--strands", "2", "--out", str(a))
@@ -217,18 +228,15 @@ class TestCli:
         "a,b,code",
         [("s1 s2", "s1^-1 s2^-1", 1), ("s1^2 s2^2", "s1^2 s2^-2", 1), ("s1", "s2", 0)],
     )
-    def test_conj3_searches_once(self, monkeypatch, capsys, a, b, code):
-        calls = []
-        search = oracle.conjugator_search
-
-        def counted(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(oracle, "conjugator_search", counted)
+    def test_conj3_prints_exact_cross_check(self, capsys, a, b, code):
         assert cli.main(["conj3", "--a", a, "--b", b]) == code
-        assert len(calls) == 1
-        assert "oracle cross-check" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "exact B3 cross-check" in out and "agrees" in out
+
+    def test_conj3_oracle_depth_flag_is_gone(self):
+        r = run_cli("conj3", "--a", "s1", "--b", "s2", "--oracle-depth", "4")
+        assert r.returncode == 2
+        assert "--oracle-depth" in r.stderr
 
     def test_invariants_empty_word(self):
         r = run_cli("invariants", "--word", "", "--strands", "3")
