@@ -1,209 +1,38 @@
 """Independent ground truth at desk scale.
 
-The reduced Burau representation is faithful on B_3, so matrix equality
-decides the word problem there exactly; it uses exact integer Laurent
-polynomials, no floating point.
-
-`conjugate_b3` decides conjugacy in B_3 exactly, with no search.  Modulo
-its centre <Delta^2>, B_3 is PSL(2,Z) = Z/2 * Z/3, generated by
-x = s1 s2 s1 and y = s1 s2.  In a free product, two cyclically reduced
+One normal form answers every question about B_3 here.  Modulo its centre
+<Delta^2>, B_3 is PSL(2,Z) = Z/2 * Z/3, generated by x = s1 s2 s1 and
+y = s1 s2; a word's image reduces by a stack to the free product's normal
+form, an alternating string of syllables.  Delta^2 has exponent sum 6, so
+the normal form together with the exponent sum decides equality in B_3
+exactly (`_element_key`).  In a free product, two cyclically reduced
 elements are conjugate exactly when one is a cyclic rotation of the other
-(Magnus, Karrass and Solitar, Combinatorial Group Theory, section 4.1), and
-Delta^2 has exponent sum 6, so two 3-braids are conjugate exactly when
-their cyclically reduced images are rotations of each other and their
-exponent sums are equal.  The trace-graph decision in `threebraid` is
+(Magnus, Karrass and Solitar, Combinatorial Group Theory, section 4.1), so
+two 3-braids are conjugate exactly when their cyclically reduced images
+are rotations of each other and their exponent sums are equal
+(`conjugate_b3`, no search).  The trace-graph decision in `threebraid` is
 checked against it.
 
-The breadth-first conjugator search over the Burau ball (`conjugator_search`,
-`_ball_elements`) finds a conjugator up to a length bound and so only
-semi-decides; the tests use it as a second reference, and the benchmark's
-tracing binds `conjugator_search` by name.
+The breadth-first conjugator search over the ball of B_3 elements
+(`conjugator_search`, `_ball_elements`) deduplicates and compares by the
+same key.  It finds a conjugator up to a length bound and so only
+semi-decides; the tests use its witnesses, and the benchmark's tracing
+binds `conjugator_search` by name.  The tests check all of these against
+an independent reference, the faithful reduced Burau representation of
+B_3 with exact integer polynomial entries.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .words import BraidWord, cycle_structure, exponent_sum
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Z in one variable
-
-
-class Laurent:
-    """Integer Laurent polynomial, stored as {exponent: coefficient}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def const(c: int) -> "Laurent":
-        return Laurent({0: c})
-
-    @staticmethod
-    def var(power: int = 1, coeff: int = 1) -> "Laurent":
-        return Laurent({power: coeff})
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Laurent(out)
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return Laurent(out)
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return Laurent(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Laurent) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def key(self) -> tuple:
-        return tuple(sorted(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                terms.append(f"{c}")
-            elif e == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{e}")
-        return " + ".join(terms)
-
-
-_ZERO = Laurent()
-_ONE = Laurent.const(1)
-
-
-Matrix = tuple[tuple[Laurent, ...], ...]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    k = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][m] * b[m][j] for m in range(k)), _ZERO)
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-
-
-def mat_key(a: Matrix) -> tuple:
-    return tuple(entry.key() for row in a for entry in row)
-
-
-def identity_matrix(k: int) -> Matrix:
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(k)) for i in range(k)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reduced Burau for B_3 (faithful)
-
-
-def _burau3_generators() -> dict[tuple[int, int], Matrix]:
-    t = Laurent.var(1)
-    tinv = Laurent.var(-1)
-    s1 = ((-t, _ONE), (_ZERO, _ONE))
-    s2 = ((_ONE, _ZERO), (t, -t))
-    s1i = ((-tinv, tinv), (_ZERO, _ONE))
-    s2i = ((_ONE, _ZERO), (_ONE, -tinv))
-    return {(1, 1): s1, (2, 1): s2, (1, -1): s1i, (2, -1): s2i}
-
-
-_B3_GENS = _burau3_generators()
-
-
-def burau3(w: BraidWord) -> Matrix:
-    """Reduced Burau matrix of a 3-braid; equality decides the word problem."""
-    if w.n != 3:
-        raise ValueError(f"burau3 needs n=3, got n={w.n}")
-    m = identity_matrix(2)
-    for letter in w.letters:
-        m = mat_mul(m, _B3_GENS[letter])
-    return m
-
-
-# ---------------------------------------------------------------------------
-# Conjugator search in B_3
-
-_B3_ALPHABET = ((1, 1), (1, -1), (2, 1), (2, -1))
-
-
-def _ball_elements(max_len: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Matrix]]:
-    """Distinct B_3 elements with a shortest(ish) representative word, by BFS.
-
-    Deduplicates on the Burau matrix, which is exact by faithfulness.
-    Yields in order of word length, ties broken lexicographically.
-    """
-    ident = identity_matrix(2)
-    seen = {mat_key(ident)}
-    frontier: list[tuple[tuple[tuple[int, int], ...], Matrix]] = [((), ident)]
-    yield (), ident
-    for _ in range(max_len):
-        nxt = []
-        for word, mat in frontier:
-            for letter in _B3_ALPHABET:
-                if word and word[-1][0] == letter[0] and word[-1][1] == -letter[1]:
-                    continue
-                m2 = mat_mul(mat, _B3_GENS[letter])
-                key = mat_key(m2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                entry = (word + (letter,), m2)
-                nxt.append(entry)
-                yield entry
-        frontier = nxt
-
-
-def conjugator_search(a: BraidWord, b: BraidWord, max_len: int = 8) -> Optional[BraidWord]:
-    """First w (by length, then lexicographic) with w a w^-1 = b in B_3.
-
-    Returns None when no witness exists up to max_len; that means
-    "unknown", never "not conjugate".
-    """
-    if a.n != 3 or b.n != 3:
-        raise ValueError("conjugator search is implemented for B_3 only")
-    ma, mb = burau3(a), burau3(b)
-    for word, mw in _ball_elements(max_len):
-        # w a w^-1 = b  <=>  w a = b w
-        if mat_mul(mw, ma) == mat_mul(mb, mw):
-            return BraidWord(3, word)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Exact conjugacy in B_3
+# The normal form of B_3 modulo its centre
 
 # images of the letters modulo the centre, as syllables of Z/2 * Z/3 =
 # <x, y | x^2, y^3>: "x" is x, "y" is y and "Y" is y^2
@@ -216,14 +45,26 @@ def _same_factor(u: str, v: str) -> bool:
     return (u == "x") == (v == "x")
 
 
-def _cyclically_reduced_mod_centre(w: BraidWord) -> str:
-    """Syllables of a cyclically reduced conjugate of w's image in Z/2 * Z/3."""
+def _reduced_mod_centre(letters: Sequence[tuple[int, int]]) -> list[str]:
+    """Syllables of the normal form of the letters' image in Z/2 * Z/3."""
     stack: list[str] = []
-    for syllable in "".join(_MOD_CENTRE[letter] for letter in w.letters):
+    for syllable in "".join(_MOD_CENTRE[letter] for letter in letters):
         if stack and _same_factor(stack[-1], syllable):
             syllable = _SYLLABLE_PRODUCT[stack.pop() + syllable]
         if syllable:
             stack.append(syllable)
+    return stack
+
+
+def _element_key(letters: Sequence[tuple[int, int]]) -> tuple[str, int]:
+    """Normal form modulo the centre and exponent sum: equal exactly for
+    words of one element of B_3."""
+    return "".join(_reduced_mod_centre(letters)), sum(s for _, s in letters)
+
+
+def _cyclically_reduced_mod_centre(w: BraidWord) -> str:
+    """Syllables of a cyclically reduced conjugate of w's image in Z/2 * Z/3."""
+    stack = _reduced_mod_centre(w.letters)
     # conjugate the last syllable onto the first while they share a factor
     i, j = 0, len(stack)
     while j - i > 1 and _same_factor(stack[i], stack[j - 1]):
@@ -251,6 +92,52 @@ def conjugate_b3(a: BraidWord, b: BraidWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Conjugator search in B_3
+
+_B3_ALPHABET = ((1, 1), (1, -1), (2, 1), (2, -1))
+
+
+def _ball_elements(max_len: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Distinct B_3 elements with a shortest(ish) representative word, by BFS.
+
+    Deduplicates on `_element_key`, which is exact.  Yields in order of
+    word length, ties broken lexicographically.
+    """
+    seen = {_element_key(())}
+    frontier: list[tuple[tuple[int, int], ...]] = [()]
+    yield ()
+    for _ in range(max_len):
+        nxt = []
+        for word in frontier:
+            for letter in _B3_ALPHABET:
+                if word and word[-1][0] == letter[0] and word[-1][1] == -letter[1]:
+                    continue
+                entry = word + (letter,)
+                key = _element_key(entry)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append(entry)
+                yield entry
+        frontier = nxt
+
+
+def conjugator_search(a: BraidWord, b: BraidWord, max_len: int = 8) -> Optional[BraidWord]:
+    """First w (by length, then lexicographic) with w a w^-1 = b in B_3.
+
+    Returns None when no witness exists up to max_len; that means
+    "unknown", never "not conjugate".
+    """
+    if a.n != 3 or b.n != 3:
+        raise ValueError("conjugator search is implemented for B_3 only")
+    for word in _ball_elements(max_len):
+        # w a w^-1 = b  <=>  w a = b w
+        if _element_key(word + a.letters) == _element_key(b.letters + word):
+            return BraidWord(3, word)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Brute-force recount of trace-graph structure
 
 
@@ -266,12 +153,10 @@ class CountReport:
 
 
 def expected_circle_count(w: BraidWord) -> int:
-    import math as _m
-
     lengths = cycle_structure(w).lengths
     total = sum(x - 1 for x in lengths)
     for a, b in itertools.combinations(lengths, 2):
-        total += 2 * _m.gcd(a, b)
+        total += 2 * math.gcd(a, b)
     return total
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
 
 from .embedding import EVENT_SEP, GENERICITY_MARGIN, ROOT_TOL
 from .tracegraph import Marking, TraceCircle, TraceEdge, TraceGraph, TraceVertex
@@ -194,16 +193,17 @@ def document_to_graph(doc: dict) -> TraceGraph:
             c["id"], Marking(*c["marking"]), c["diff"], tuple(c["comp_pair"]),
             tuple(c["edges"]), c["dz_total"], c["dt_winding"],
         )
-    sym = doc["symmetry"]
+    partners = [
+        {int(k): v for k, v in doc["symmetry"][kind].items()}
+        for kind in ("vertices", "edges", "circles")
+    ]
     pass_circle = {}
     for key, cid in doc["pass_circle"].items():
         a, b = key.split(",")
         pass_circle[(int(a), int(b))] = cid
-    required = {e["id"] for e in doc["edges"]}
+    _check_references(vertices, edges, circles, partners, pass_circle)
     cycles = cycle_structure(word)
     for c in circles.values():
-        if not set(c.edges) <= required:
-            raise SchemaError(f"circle {c.id} references missing edges")
         _check_marking(c, cycles.lengths)
     return TraceGraph(
         word.n,
@@ -212,13 +212,34 @@ def document_to_graph(doc: dict) -> TraceGraph:
         vertices,
         edges,
         circles,
-        {int(k): v for k, v in sym["vertices"].items()},
-        {int(k): v for k, v in sym["edges"].items()},
-        {int(k): v for k, v in sym["circles"].items()},
+        *partners,
         pass_circle,
         paths=None,
         reduced_from=doc.get("reduced_from"),
     )
+
+
+def _check_references(vertices, edges, circles, partners, pass_circle) -> None:
+    """Raise SchemaError naming the first record that refers to a missing one."""
+    for v in vertices.values():
+        if not {*v.below, *v.above} <= edges.keys():
+            raise SchemaError(f"vertex {v.id} references missing edges")
+    for e in edges.values():
+        if (e.tail, e.head) != (None, None) and not {e.tail, e.head} <= vertices.keys():
+            raise SchemaError(f"edge {e.id}: tail and head must both be vertices or both null")
+        if e.circle not in circles:
+            raise SchemaError(f"edge {e.id} references missing circle {e.circle}")
+    for c in circles.values():
+        if not set(c.edges) <= edges.keys():
+            raise SchemaError(f"circle {c.id} references missing edges")
+    kinds = ("vertex", vertices), ("edge", edges), ("circle", circles)
+    for (kind, records), pairing in zip(kinds, partners):
+        for a, b in pairing.items():
+            if a not in records or b not in records:
+                raise SchemaError(f"symmetry pairs {kind} {a} with {b}, a missing {kind}")
+    for pair, cid in pass_circle.items():
+        if cid not in circles:
+            raise SchemaError(f"pass_circle {pair} references missing circle {cid}")
 
 
 def _check_marking(c: TraceCircle, lengths: tuple[int, ...]) -> None:

@@ -35,7 +35,6 @@ from .words import (
     linking_number,
     power,
     pure_power_exponent,
-    subbraid,
 )
 
 Triplet = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -80,37 +79,20 @@ class TripletColumn:
         return self.canonical == other.canonical
 
 
-def cyclic_invariant(
-    w: BraidWord,
-    pair: tuple[int, int] = (1, 2),
-    components: Optional[tuple[int, int, int]] = None,
-) -> TripletColumn:
-    """The cyclic invariant of the 3-subbraid on the chosen components,
-    read along the trace circle of the given ordered component pair in the
-    reduced trace graph.
+def cyclic_invariant(w: BraidWord, pair: tuple[int, int] = (1, 2)) -> TripletColumn:
+    """The cyclic invariant of a pure 3-braid, read along the trace circle
+    of the given ordered component pair in the reduced trace graph.
 
     Each vertex on the circle contributes the ordered triplet of the
     markings of the three circles through it, left to right below the
     vertex; the column is defined up to cyclic rotation and is returned
     both raw and in its lexicographically minimal rotation.
     """
-    if components is None:
-        if w.n != 3:
-            raise ValueError("components must be chosen for n != 3")
-        sub = w
-        relabel = {1: 1, 2: 2, 3: 3}
-    else:
-        comps = tuple(sorted(components))
-        if len(set(comps)) != 3:
-            raise ValueError("need three distinct components")
-        sub = subbraid(w, set(comps))
-        relabel = {i + 1: comps[i] for i in range(3)}
-    if sub.n != 3 or not is_pure(sub):
-        raise ValueError("the chosen 3-subbraid is not a pure 3-braid")
-    back = {v: k for k, v in relabel.items()}
-    if pair[0] not in back or pair[1] not in back or pair[0] == pair[1]:
-        raise ValueError(f"pair {pair} is not within the chosen components")
-    return _column(sub, (back[pair[0]], back[pair[1]]), relabel)
+    if w.n != 3 or not is_pure(w):
+        raise ValueError("cyclic_invariant needs a pure 3-braid")
+    if not {*pair} <= {1, 2, 3} or pair[0] == pair[1]:
+        raise ValueError(f"pair {pair} is not two of the components 1, 2, 3")
+    return _column(w, pair, {1: 1, 2: 2, 3: 3})
 
 
 @lru_cache(maxsize=4096)

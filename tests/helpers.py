@@ -1,5 +1,11 @@
 """Independent brute-force oracles and corpus utilities for the tests.
 
+The reduced Burau representation is faithful on B_3, so matrix equality
+decides the word problem there exactly, with exact integer Laurent
+polynomials and no floating point.  It is the tests' reference for the
+package's B_3 normal form (`oracle._element_key`) and for the ball and
+conjugator search built on it (`burau_ball`, `burau_conjugator_search`).
+
 The cycle enumerators here deliberately use different algorithms from the
 package (Johnson's blocked search on the directed double cover, and plain
 edge-subset enumeration for tiny graphs) so that agreement is meaningful.
@@ -26,22 +32,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from braidtrace import equivalence as eq
 from braidtrace.embedding import GenericityError, rot_x, t_over, wrap_pm_pi
 from braidtrace.levels import CYCLE_BUDGET, simple_cycles
-from braidtrace.oracle import (
-    _ONE,
-    _ZERO,
-    Laurent,
-    Matrix,
-    _ball_elements,
-    burau3,
-    identity_matrix,
-    mat_key,
-    mat_mul,
-)
 from braidtrace.threebraid import TripletColumn, cyclic_invariant, minimal_rotation
 from braidtrace.tracegraph import SYMMETRY_TOL
 from braidtrace.words import (
@@ -56,6 +51,184 @@ from braidtrace.words import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials over Z in one variable
+
+
+class Laurent:
+    """Integer Laurent polynomial, stored as {exponent: coefficient}."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+
+    @staticmethod
+    def const(c: int) -> "Laurent":
+        return Laurent({0: c})
+
+    @staticmethod
+    def var(power: int = 1, coeff: int = 1) -> "Laurent":
+        return Laurent({power: coeff})
+
+    def __add__(self, other: "Laurent") -> "Laurent":
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return Laurent(out)
+
+    def __sub__(self, other: "Laurent") -> "Laurent":
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) - c
+        return Laurent(out)
+
+    def __neg__(self) -> "Laurent":
+        return Laurent({e: -c for e, c in self.coeffs.items()})
+
+    def __mul__(self, other: "Laurent") -> "Laurent":
+        out: dict[int, int] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return Laurent(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Laurent) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def key(self) -> tuple:
+        return tuple(sorted(self.coeffs.items()))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        terms = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            if e == 0:
+                terms.append(f"{c}")
+            elif e == 1:
+                terms.append(f"{c}*t")
+            else:
+                terms.append(f"{c}*t^{e}")
+        return " + ".join(terms)
+
+
+_ZERO = Laurent()
+_ONE = Laurent.const(1)
+
+
+Matrix = tuple[tuple[Laurent, ...], ...]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    k = len(a)
+    return tuple(
+        tuple(
+            sum((a[i][m] * b[m][j] for m in range(k)), _ZERO)
+            for j in range(k)
+        )
+        for i in range(k)
+    )
+
+
+def mat_key(a: Matrix) -> tuple:
+    return tuple(entry.key() for row in a for entry in row)
+
+
+def identity_matrix(k: int) -> Matrix:
+    return tuple(
+        tuple(_ONE if i == j else _ZERO for j in range(k)) for i in range(k)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reduced Burau for B_3 (faithful)
+
+
+def _burau3_generators() -> dict[tuple[int, int], Matrix]:
+    t = Laurent.var(1)
+    tinv = Laurent.var(-1)
+    s1 = ((-t, _ONE), (_ZERO, _ONE))
+    s2 = ((_ONE, _ZERO), (t, -t))
+    s1i = ((-tinv, tinv), (_ZERO, _ONE))
+    s2i = ((_ONE, _ZERO), (_ONE, -tinv))
+    return {(1, 1): s1, (2, 1): s2, (1, -1): s1i, (2, -1): s2i}
+
+
+_B3_GENS = _burau3_generators()
+
+
+def burau3(w: BraidWord) -> Matrix:
+    """Reduced Burau matrix of a 3-braid; equality decides the word problem."""
+    if w.n != 3:
+        raise ValueError(f"burau3 needs n=3, got n={w.n}")
+    m = identity_matrix(2)
+    for letter in w.letters:
+        m = mat_mul(m, _B3_GENS[letter])
+    return m
+
+
+# ---------------------------------------------------------------------------
+# Conjugator search in B_3 over the Burau ball
+
+_B3_ALPHABET = ((1, 1), (1, -1), (2, 1), (2, -1))
+
+
+def burau_ball(max_len: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Matrix]]:
+    """Distinct B_3 elements with a shortest(ish) representative word, by BFS.
+
+    Deduplicates on the Burau matrix, which is exact by faithfulness.
+    Yields in order of word length, ties broken lexicographically.
+    """
+    ident = identity_matrix(2)
+    seen = {mat_key(ident)}
+    frontier: list[tuple[tuple[tuple[int, int], ...], Matrix]] = [((), ident)]
+    yield (), ident
+    for _ in range(max_len):
+        nxt = []
+        for word, mat in frontier:
+            for letter in _B3_ALPHABET:
+                if word and word[-1][0] == letter[0] and word[-1][1] == -letter[1]:
+                    continue
+                m2 = mat_mul(mat, _B3_GENS[letter])
+                key = mat_key(m2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                entry = (word + (letter,), m2)
+                nxt.append(entry)
+                yield entry
+        frontier = nxt
+
+
+def burau_conjugator_search(a: BraidWord, b: BraidWord, max_len: int = 8) -> Optional[BraidWord]:
+    """First w (by length, then lexicographic) with w a w^-1 = b in B_3.
+
+    Returns None when no witness exists up to max_len; that means
+    "unknown", never "not conjugate".
+    """
+    if a.n != 3 or b.n != 3:
+        raise ValueError("conjugator search is implemented for B_3 only")
+    ma, mb = burau3(a), burau3(b)
+    for word, mw in burau_ball(max_len):
+        # w a w^-1 = b  <=>  w a = b w
+        if mat_mul(mw, ma) == mat_mul(mb, mw):
+            return BraidWord(3, word)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Cycle enumeration references
 
 
 def _arc_adjacency(s):
@@ -439,17 +612,23 @@ def invariant_screen(w: BraidWord) -> InvariantScreen:
 # Burau ball partition and word rewriting (3-braid references)
 
 
+@lru_cache(maxsize=None)
+def _burau_ball_with_inverses(max_len: int) -> tuple[tuple[Matrix, Matrix], ...]:
+    """The Burau ball's matrices, each with its inverse, built once per depth."""
+    return tuple((mw, inverse2(mw)) for _, mw in burau_ball(max_len))
+
+
 def conjugacy_classes_within_ball(words, max_len: int = 8) -> list[list[int]]:
     """Partition indices of the given B_3 words into classes connected by a
     conjugator of length <= max_len.  One ball sweep per class representative."""
     mats = [burau3(w) for w in words]
-    ball = [mw for _, mw in _ball_elements(max_len)]
+    ball = _burau_ball_with_inverses(max_len)
     untouched = set(range(len(words)))
     classes = []
     while untouched:
         rep = min(untouched)
         mrep = mats[rep]
-        orbit_keys = {mat_key(mat_mul(mw, mat_mul(mrep, inverse2(mw)))) for mw in ball}
+        orbit_keys = {mat_key(mat_mul(mw, mat_mul(mrep, inv))) for mw, inv in ball}
         members = [i for i in untouched if mat_key(mats[i]) in orbit_keys]
         for i in members:
             untouched.discard(i)

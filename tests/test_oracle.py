@@ -1,9 +1,16 @@
 import pytest
 from helpers import (
+    Laurent,
+    burau3,
+    burau_ball,
+    burau_conjugator_search,
     burau_unreduced,
     char_poly,
     conjugacy_classes_within_ball,
+    identity_matrix,
     invariant_screen,
+    mat_key,
+    mat_mul,
     random_rewrite,
 )
 from hypothesis import given, settings
@@ -11,7 +18,7 @@ from hypothesis import strategies as st
 
 from braidtrace import cli, oracle
 from braidtrace import threebraid as tb
-from braidtrace.oracle import Laurent, burau3, conjugate_b3, conjugator_search
+from braidtrace.oracle import conjugate_b3, conjugator_search
 from braidtrace.tracegraph import build_trace_graph
 from braidtrace.words import (
     BraidWord,
@@ -49,8 +56,6 @@ class TestBurau3:
         assert burau3(parse_word("s1 s2 s1", 3)) == burau3(parse_word("s2 s1 s2", 3))
 
     def test_inverse_pair(self):
-        from braidtrace.oracle import identity_matrix
-
         assert burau3(parse_word("s1 s1^-1", 3)) == identity_matrix(2)
 
     def test_generators_differ(self):
@@ -62,8 +67,6 @@ class TestBurau3:
 
     @given(b3_words(4), b3_words(4))
     def test_homomorphism(self, a, b):
-        from braidtrace.oracle import mat_mul
-
         assert burau3(concatenate(a, b)) == mat_mul(burau3(a), burau3(b))
 
     @given(b3_words(5))
@@ -203,6 +206,47 @@ class TestConjugateB3:
                 tb.conjugate_3braids(parse_word(a, 3), parse_word(b, 3))
             assert cli.main(["conj3", "--a", a, "--b", b]) == 2
             assert "exact B3 check" in capsys.readouterr().err
+
+
+class TestElementKeyAgainstBurau:
+    """The normal form modulo the centre with the exponent sum, and the
+    ball and conjugator search built on it, against the faithful Burau
+    representation."""
+
+    def test_word_problem_partition(self):
+        words = [w for l in range(7) for w in iter_reduced_words(3, l)]
+        by_key, by_burau = {}, {}
+        for i, w in enumerate(words):
+            by_key.setdefault(oracle._element_key(w.letters), []).append(i)
+            by_burau.setdefault(mat_key(burau3(w)), []).append(i)
+        assert (len(words), len(by_burau)) == (1457, 577)
+        assert sorted(by_key.values()) == sorted(by_burau.values())
+
+    def test_ball_matches_burau_ball(self):
+        ball = list(oracle._ball_elements(7))
+        assert ball == [word for word, _ in burau_ball(7)]
+        assert len(ball) == 1233
+
+    def test_witnesses_match_burau_search(self, rng):
+        found = 0
+        for i in range(300):
+            a = random_word(3, rng.randint(1, 8), rng)
+            if i % 2 == 0:
+                beta = random_word(3, rng.randint(0, 5), rng)
+                b = free_reduce(concatenate(concatenate(beta, a), invert(beta)))
+            else:
+                b = random_word(3, rng.randint(1, 8), rng)
+            witness = conjugator_search(a, b, 5)
+            assert witness == burau_conjugator_search(a, b, 5), (a, b)
+            found += witness is not None
+        assert found == 161
+
+    def test_full_twist_is_not_the_identity(self):
+        # both normal forms are empty: only the exponent sum tells them apart
+        full_twist = concatenate(garside_delta(3), garside_delta(3))
+        assert oracle._element_key(full_twist.letters) == ("", 6)
+        assert oracle._element_key(()) == ("", 0)
+        assert burau3(full_twist) != identity_matrix(2)
 
 
 class TestBruteCounts:

@@ -67,6 +67,47 @@ class TestDocuments:
         with pytest.raises(SchemaError):
             document_to_graph(doc)
 
+    def test_edge_ends_must_be_vertices(self):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        e = next(e for e in doc["edges"] if e["tail"] is not None)
+        e["head"] = 999
+        with pytest.raises(SchemaError, match=f"edge {e['id']}: tail and head"):
+            document_to_graph(doc)
+        e["head"] = None  # a vertex-free loop has neither end
+        with pytest.raises(SchemaError, match=f"edge {e['id']}: tail and head"):
+            document_to_graph(doc)
+
+    def test_vertex_edges_must_exist(self):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        v = doc["vertices"][1]
+        v["above"][2] = 999
+        with pytest.raises(SchemaError, match=f"vertex {v['id']} references missing edges"):
+            document_to_graph(doc)
+
+    def test_edge_circle_must_exist(self):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        e = doc["edges"][2]
+        e["circle"] = 999
+        with pytest.raises(SchemaError, match=f"edge {e['id']} references missing circle 999"):
+            document_to_graph(doc)
+
+    @pytest.mark.parametrize(
+        "kind,record", [("vertices", "vertex"), ("edges", "edge"), ("circles", "circle")]
+    )
+    def test_symmetry_must_name_records(self, kind, record):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        key = next(iter(doc["symmetry"][kind]))
+        doc["symmetry"][kind][key] = 999
+        with pytest.raises(SchemaError, match=f"symmetry pairs {record} {key} with 999"):
+            document_to_graph(doc)
+
+    def test_pass_circle_must_exist(self):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        key = next(iter(doc["pass_circle"]))
+        doc["pass_circle"][key] = 999
+        with pytest.raises(SchemaError, match="pass_circle .* references missing circle 999"):
+            document_to_graph(doc)
+
     def test_marking_names_its_components(self):
         # B3 s1 has components of lengths 2 and 1; swap i and j in the
         # marking of one mixed circle, leaving its comp_pair
@@ -209,6 +250,16 @@ class TestCli:
         assert r.returncode == 1
         assert "no trihedral relation found" in r.stdout
         assert "not equivalent" not in r.stdout
+
+    def test_compare_dangling_edge_exits_2(self, tmp_path):
+        a = tmp_path / "a.json"
+        run_cli("build", "--word", "s1 s2", "--out", str(a))
+        doc = json.loads(a.read_text())
+        doc["edges"][0]["head"] = 999
+        a.write_text(json.dumps(doc))
+        r = run_cli("compare", str(a), str(a))
+        assert r.returncode == 2
+        assert f"edge {doc['edges'][0]['id']}: tail and head" in r.stderr
 
     def test_compare_mismatched_strands_exits_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

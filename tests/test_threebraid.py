@@ -104,13 +104,6 @@ class TestCyclicInvariant:
         with pytest.raises(ValueError):
             cyclic_invariant(parse_word("s1", 3))
 
-    def test_subbraid_route(self):
-        # components {1,2,3} of a pure 4-braid whose strand 4 is far away
-        w = parse_word("(s1 s2^-1)^3", 4)
-        col = cyclic_invariant(w, pair=(1, 2), components=(1, 2, 3))
-        direct = cyclic_invariant(parse_word(BORRO_A, 3))
-        assert col.canonical == direct.canonical
-
     def test_invariance_under_rotation_and_rewriting(self, rng):
         pure = [w for l in range(0, 6) for w in iter_reduced_words(3, l) if is_pure(w)]
         base = cyclic_invariant
