@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 from . import levels as lv
 from .tracegraph import (
     Marking,
+    TraceCircle,
     TraceEdge,
     TraceGraph,
     TraceVertex,
@@ -398,20 +399,23 @@ def eliminate_trihedron(g: TraceGraph, t: Trihedron) -> TraceGraph:
     the three circles through them into a single edge with summed lift
     displacements, and pair the survivors again (`pair_partners`).  The
     outside levels per circle must agree."""
+    plan = _validate_trihedron(g, t)
     g = g.copy()
-    _eliminate_inplace(g, t)
+    _eliminate_inplace(g, t, plan, max(g.edges))
     pair_partners(g)
     return g
 
 
 def _eliminate_inplace(
-    g: TraceGraph, t: Trihedron
+    g: TraceGraph, t: Trihedron, plan: list[tuple[int, int, int]], last_id: int
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Eliminate a validated trihedron in place; returns the removed
-    (edge, tail, head) triples and the ids of the spliced edges.  Records
-    are shared with the graph's copies, so changed ones are replaced,
-    never mutated.  The t+pi pairing is left stale for the caller to
-    rebuild.
+    """Eliminate trihedron t in place along `plan`, the list that
+    `_validate_trihedron` returned for t on g: the caller validates, once.
+    `last_id` is the largest edge id of g; the spliced edges take the ids
+    after it, in plan order.  Returns the removed (edge, tail, head) triples
+    and the ids of the spliced edges.  Records are shared with the graph's
+    copies, so changed ones are replaced, never mutated.  The t+pi pairing
+    is left stale for the caller to rebuild.
 
     A circle whose only outside edge is pred == succ closes into a
     vertex-free loop, which takes that outside edge's level.  That level
@@ -422,11 +426,8 @@ def _eliminate_inplace(
     """
     removed: list[tuple[int, int, int]] = []
     added: list[int] = []
-    plan = _validate_trihedron(g, t)
     v1, v2 = t.vertices
-    # each splice removes only older edges of its own circle, so the next
-    # free id (one past the largest) just counts up within this call
-    new_id = max(g.edges)
+    new_id = last_id
     for eid, pred, succ in plan:
         e = g.edges[eid]
         c = g.circles[e.circle]
@@ -442,7 +443,7 @@ def _eliminate_inplace(
             removed.append((eid, e.tail, e.head))
             removed.append((pred, ep.tail, ep.head))
             del g.edges[eid], g.edges[pred]
-            g.circles[c.id] = replace(c, edges=(new_id,))
+            g.circles[c.id] = _with_edges(c, (new_id,))
             added.append(new_id)
         else:
             merged = TraceEdge(
@@ -455,10 +456,10 @@ def _eliminate_inplace(
             # rewire rotation data at the surviving endpoints
             for vid, old in ((ep.tail, pred), (es.head, succ)):
                 v = g.vertices[vid]
-                g.vertices[vid] = replace(
-                    v,
-                    below=tuple(new_id if x == old else x for x in v.below),
-                    above=tuple(new_id if x == old else x for x in v.above),
+                g.vertices[vid] = TraceVertex(
+                    v.id, v.z, v.t, v.strands, v.letter, v.spectator_slot,
+                    tuple(new_id if x == old else x for x in v.below),
+                    tuple(new_id if x == old else x for x in v.above),
                 )
             removed.append((eid, e.tail, e.head))
             removed.append((pred, ep.tail, ep.head))
@@ -471,10 +472,14 @@ def _eliminate_inplace(
             ordered[(k - 1) % K] = new_id
             for x in sorted((k, (k + 1) % K), reverse=True):
                 del ordered[x]
-            g.circles[c.id] = replace(c, edges=tuple(ordered))
+            g.circles[c.id] = _with_edges(c, tuple(ordered))
             added.append(new_id)
     del g.vertices[v1], g.vertices[v2]
     return removed, added
+
+
+def _with_edges(c: TraceCircle, edges: tuple[int, ...]) -> TraceCircle:
+    return TraceCircle(c.id, c.marking, c.diff, c.comp_pair, edges, c.dz_total, c.dt_winding)
 
 
 def reduce(
@@ -537,13 +542,20 @@ def reduce(
             )
         return sort_keys[k]
 
-    def eliminable_in(key: frozenset) -> Optional[Trihedron]:
+    def eliminable_in(key: frozenset):
+        """The first eliminable trihedron on the pair, with its splice plan."""
         v1, v2 = sorted(key)
         for triple in itertools.combinations(sorted(pair_edges[key]), 3):
             t = Trihedron((v1, v2), triple)
-            if is_eliminable(work, t):
-                return t
+            try:
+                return t, _validate_trihedron(work, t)
+            except NotEliminable:
+                pass
         return None
+
+    # a splice adds one edge on each of its three distinct circles and
+    # removes none of them, so afterwards the largest id is its last one
+    last_id = max(work.edges, default=-1)
 
     while True:
         candidates = list(hot)
@@ -558,7 +570,8 @@ def reduce(
                 break
         if chosen is None:
             break
-        removed, added = _eliminate_inplace(work, chosen)
+        removed, added = _eliminate_inplace(work, *chosen, last_id)
+        last_id = added[-1]
         for eid, tail, head in removed:
             if tail is not None and tail != head:
                 unregister(eid, frozenset((tail, head)))

@@ -6,7 +6,9 @@ combinatorial data (rotation systems, levels, markings, displacements);
 fiber operations need the original strand paths and are not available on
 loaded graphs.  A circle's marking must name its own component pair, with a
 mixed pair's cyclic index in 1..gcd, as on every built graph: the isotopy
-decision reads a circle's family and shift range from its marking.
+decision reads a circle's family and shift range from its marking.  A
+document that lacks a key or a record field is refused with a SchemaError
+naming it.
 """
 
 from __future__ import annotations
@@ -169,18 +171,48 @@ def graph_to_document(g: TraceGraph) -> dict:
     }
 
 
+_DOCUMENT_KEYS = ("word", "vertices", "edges", "circles", "symmetry", "pass_circle")
+_RECORD_FIELDS = {
+    "vertex": ("id", "z", "t", "strands", "letter", "spectator_slot", "below", "above"),
+    "edge": (
+        "id", "tail", "head", "dz", "dt", "level", "circle",
+        "over_under", "tail_pair", "head_pair",
+    ),
+    "circle": ("id", "marking", "diff", "comp_pair", "edges", "dz_total", "dt_winding"),
+}
+
+
+def _require(record: dict, keys, what: str) -> None:
+    """Raise SchemaError naming the first of keys that record lacks."""
+    for key in keys:
+        if key not in record:
+            raise SchemaError(f"{what}: missing field {key!r}")
+
+
+def _records(doc: dict, key: str, kind: str) -> list[dict]:
+    """The records of doc[key], each checked to carry every field of its
+    kind; a record is named by its id, or by its position without one."""
+    for k, rec in enumerate(doc[key]):
+        _require(rec, ("id",), f"{kind} at position {k}")
+        _require(rec, _RECORD_FIELDS[kind], f"{kind} {rec['id']}")
+    return doc[key]
+
+
 def document_to_graph(doc: dict) -> TraceGraph:
     if doc.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}")
+    _require(doc, _DOCUMENT_KEYS, "document")
+    _require(doc["word"], ("n", "letters"), "word")
+    _require(doc["symmetry"], ("vertices", "edges", "circles"), "symmetry")
     word = BraidWord(doc["word"]["n"], tuple((i, s) for i, s in doc["word"]["letters"]))
     vertices = {}
-    for v in doc["vertices"]:
+    for v in _records(doc, "vertices", "vertex"):
         vertices[v["id"]] = TraceVertex(
             v["id"], v["z"], v["t"], tuple(v["strands"]), v["letter"],
             v["spectator_slot"], tuple(v["below"]), tuple(v["above"]),
         )
     edges = {}
-    for e in doc["edges"]:
+    for e in _records(doc, "edges", "edge"):
         edges[e["id"]] = TraceEdge(
             e["id"], e["tail"], e["head"], e["dz"], e["dt"], e["level"],
             e["circle"], tuple(e["over_under"]),
@@ -188,7 +220,7 @@ def document_to_graph(doc: dict) -> TraceGraph:
             tuple(e["head_pair"]) if e["head_pair"] else None,
         )
     circles = {}
-    for c in doc["circles"]:
+    for c in _records(doc, "circles", "circle"):
         circles[c["id"]] = TraceCircle(
             c["id"], Marking(*c["marking"]), c["diff"], tuple(c["comp_pair"]),
             tuple(c["edges"]), c["dz_total"], c["dt_winding"],

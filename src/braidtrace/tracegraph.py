@@ -24,9 +24,21 @@ double the direct computation gives:
 - `_resting_level`: outside every exchange window each track rests at a
   slot point, so the level of a pair there is an integer function of
   (n, slot of a, slot of b).
+- Edges are assembled from visit ends.  For n >= 3 every exchange window
+  in which one of a pair's tracks moves holds a visit of that pair (the
+  window has a trisecant with each spectator, and its two lifts pass every
+  ordered pair of the three tracks), so an edge spans at most the end of
+  its tail's window and the start of its head's.  `_visit_end` reads a
+  visit's s from its walk coordinate and evaluates one `eta(s)` or sight
+  angle for both edges at the visit.  An edge across windows adds its
+  tail's part and its head's part, one inside a window takes the
+  difference of its two angles, in the order `_delta_t_along` sums them.
+  Levels change only at vertices, so an edge across windows takes the
+  resting level after its tail's window.
 - `StrandPathSet.moving` lists the windows in which a pair's tracks move;
-  `_delta_t_along` skips only windows that add nothing and visits the
-  others in increasing m, as a scan of every window would.
+  `_delta_t_along` visits them in increasing m, as a scan of every window
+  would.  It serves the vertex-free loops and is the tests' reference for
+  the edge parts.
 """
 
 from __future__ import annotations
@@ -185,6 +197,7 @@ class _Visit:
     vertex: int
     slope: float
     pair: tuple[int, int]    # ordered track pair of the pass
+    m: int                   # the exchange window (letter) of the vertex
 
 
 def build_trace_graph(w: BraidWord) -> TraceGraph:
@@ -211,7 +224,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
                 vertices[vid] = TraceVertex(vid, z_star, t_star, y_order(tracks), m, spectator_slot)
                 for top, low, slope in passes:
                     pair = (tracks[top], tracks[low])
-                    pass_visits.setdefault(pair, []).append(_Visit(z_star, vid, slope, pair))
+                    pass_visits.setdefault(pair, []).append(_Visit(z_star, vid, slope, pair, m))
                 vid += 1
             vertex_partner[vid - 2] = vid - 1
             vertex_partner[vid - 1] = vid - 2
@@ -244,7 +257,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
         visits: list[_Visit] = []
         for p, pair in enumerate(orbit):
             for vv in pass_visits.get(pair, ()):
-                visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair))
+                visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair, vv.m))
         circle_visits[cid] = visits
 
         comp_pair = (cs.component_of[start[0] - 1], cs.component_of[start[1] - 1])
@@ -267,21 +280,28 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             eid += 1
         else:
             K = len(visits)
+            ends = [_visit_end(paths, l, vv) for vv in visits]
             dt_sum = 0.0
             for k in range(K):
                 src = visits[k]
                 dst = visits[(k + 1) % K]
+                window, angle, wrapped, _, tail = ends[k]
+                dst_window, dst_angle, _, head, _ = ends[(k + 1) % K]
                 if k + 1 < K:
                     dz = dst.z - src.z
-                    dt = _delta_t_along(paths, orbit, src.z, dst.z)
-                    mid_walk = src.z + dz / 2
                 else:
                     dz = total - src.z + dst.z
-                    dt = _delta_t_along(paths, orbit, src.z, total) + _delta_t_along(
-                        paths, orbit, 0.0, dst.z
-                    )
-                    mid_walk = (src.z + dz / 2) % total
-                level = _level_at_walk(paths, orbit, mid_walk)
+                if k + 1 < K and window == dst_window:
+                    turn = dst_angle - angle
+                    dt = 0.0 + (-wrap_pm_pi(turn) if wrapped else -turn)
+                    level = _level_at_walk(paths, orbit, src.z + dz / 2)
+                else:
+                    # no window where the pair moves lies between the two
+                    # visits (module docstring)
+                    dt = 0.0 + tail + head
+                    a, b = src.pair
+                    slots = paths.pos_of[src.m + 1]
+                    level = _resting_level(n, slots[a - 1], slots[b - 1])
                 edges[eid] = TraceEdge(
                     eid, src.vertex, dst.vertex, dz, dt, level, cid, comp_pair,
                     tail_pair=src.pair, head_pair=dst.pair,
@@ -410,6 +430,36 @@ def _round_winding(dt: float, what: str) -> int:
     if abs(w - r) > 1e-6:
         raise GenericityError(f"t-displacement of {what} is not a 2*pi multiple: {dt}")
     return r
+
+
+def _visit_end(paths: StrandPathSet, l: int, vv: _Visit) -> tuple:
+    """The ends of a circle visit's exchange window, read once per visit:
+    ((pass, window), its angle, whether its turns wrap, the t-displacement
+    from the window's start to the visit, and from the visit to the
+    window's end).
+
+    The angle is `eta(s)` for a moving pair and the sight angle from the
+    spectator slot for a mover-spectator pair, and s is read from the walk
+    coordinate, so each part is the double `_delta_t_along` gives for the
+    same span.  A visit lies strictly inside its window, where the clamps
+    of `_delta_t_along` change nothing."""
+    p, m = int(vv.z), vv.m
+    ws, we = m / l + 1 / (3 * l), m / l + 2 / (3 * l)  # paths.window(m)
+    s = (vv.z - p - ws) / (we - ws)
+    if not 0.0 < s < 1.0:
+        raise GenericityError(f"vertex {vv.vertex} lies on the end of exchange window {m}")
+    geom = paths.geoms[m]
+    mv = paths.movers(m)
+    a, b = vv.pair
+    if a in mv and b in mv:
+        e = geom.eta(s)
+        return (p, m), e, False, -e, -(-geom.sign * math.pi - e)
+    mover_track, other = (a, b) if a in mv else (b, a)
+    sym = "u" if mover_track == mv[0] else "v"
+    slot = paths.pos_of[m][other - 1]
+    theta = geom._sight_angle(sym, slot, s)
+    start, end = geom.sight_angles[sym, slot]
+    return (p, m), theta, True, -wrap_pm_pi(theta - start), -wrap_pm_pi(end - theta)
 
 
 def _delta_t_along(

@@ -776,6 +776,26 @@ def ranked_edge_partner(graph) -> dict[int, int]:
     return partner
 
 
+_PURE_BLOCKS = (((1, 1), (1, 1)), ((2, 1), (2, 1)), ((1, -1), (1, -1)), ((2, -1), (2, -1)))
+
+
+def pure_word_of_length(l, seed) -> BraidWord:
+    """A seeded pure 3-braid word of length l (l even) made of the squares
+    s1^2, s2^2, s1^-2 and s2^-2, no square next to its inverse: the words
+    of criterion 10."""
+    rng = random.Random(seed)
+    letters = []
+    prev = None
+    while len(letters) < l:
+        b = rng.randrange(4)
+        (i, s), _ = _PURE_BLOCKS[b]
+        if prev is not None and _PURE_BLOCKS[prev][0] == (i, -s):
+            continue
+        letters.extend(_PURE_BLOCKS[b])
+        prev = b
+    return BraidWord(3, tuple(letters))
+
+
 def golden_words():
     """The seeded B2-B6 words whose builds the golden hashes pin."""
     rng = random.Random(20261018)

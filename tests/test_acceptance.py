@@ -17,6 +17,7 @@ from helpers import (
     conjugacy_classes_within_ball,
     invariant_screen,
     johnson_cycle_classes,
+    pure_word_of_length,
 )
 
 from braidtrace import equivalence as eq
@@ -315,26 +316,10 @@ class TestCriterion9:
         )
 
 
-BLOCKS = (((1, 1), (1, 1)), ((2, 1), (2, 1)), ((1, -1), (1, -1)), ((2, -1), (2, -1)))
-
-
-def _pure_word_of_length(l, seed):
-    rng = random.Random(seed)
-    letters = []
-    prev = None
-    while len(letters) < l:
-        b = rng.randrange(4)
-        if prev is not None and BLOCKS[b][0] == (BLOCKS[prev][0][0], -BLOCKS[prev][0][1]):
-            continue
-        letters.extend(BLOCKS[b])
-        prev = b
-    return BraidWord(3, tuple(letters))
-
-
 class TestCriterion10:
     def test_linear_scaling(self):
         words = {
-            l: [_pure_word_of_length(l, 1000 * l + rep) for rep in range(3)]
+            l: [pure_word_of_length(l, 1000 * l + rep) for rep in range(3)]
             for l in (50, 100, 200, 400)
         }
         timings = dict.fromkeys(words, math.inf)
@@ -353,7 +338,7 @@ class TestCriterion10:
         report(10, ok, "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
     def test_build_and_invariants_under_a_second(self):
-        w = _pure_word_of_length(100, 4242)
+        w = pure_word_of_length(100, 4242)
         t0 = time.perf_counter()
         g = build_trace_graph(w)
         tb.cyclic_invariant(w)

@@ -2,7 +2,13 @@ import hashlib
 import random
 
 import pytest
-from helpers import invariant_screen, isotopy_by_full_product
+from helpers import (
+    golden_words,
+    invariant_screen,
+    isotopy_by_full_product,
+    pure_word_of_length,
+    wide_words,
+)
 
 from braidtrace import equivalence as eq
 from braidtrace import oracle
@@ -17,6 +23,8 @@ from braidtrace.words import (
     is_pure,
     iter_reduced_words,
     parse_word,
+    power,
+    pure_power_exponent,
     random_word,
 )
 
@@ -67,6 +75,26 @@ def decision_rendering() -> list[str]:
         except Exception as ex:
             lines.append(f"{k} {type(ex).__name__}")
     return sorted(lines)
+
+
+# sha256 of reduced_bytes(), recorded before reduce validated each trihedron
+# once and spliced without scanning the edge dict for the next free id
+REDUCED_BYTES_SHA256 = "e4854b898bfe96afffb5f4ab94a0dd2e7e47efa0ee532700675f127265e0d856"
+
+
+def reduced_bytes() -> str:
+    """canonical_json of each golden and wide word's graph reduced in the
+    default order and in three seeded orders, then with the first
+    eliminable trihedron eliminated."""
+    docs = []
+    for w in golden_words() + wide_words():
+        g = build_trace_graph(w)
+        for rng in (None, random.Random(1), random.Random(2), random.Random(3)):
+            docs.append(canonical_json(graph_to_document(eq.reduce(g, rng=rng))))
+        t = next((t for t in eq.find_embedded_trihedra(g) if eq.is_eliminable(g, t)), None)
+        if t is not None:
+            docs.append(canonical_json(graph_to_document(eq.eliminate_trihedron(g, t))))
+    return "".join(docs)
 
 
 class TestTraceCode:
@@ -231,6 +259,35 @@ class TestEliminate:
 
 
 class TestReduce:
+    def test_golden_reduced_bytes(self):
+        digest = hashlib.sha256(reduced_bytes().encode()).hexdigest()
+        assert digest == REDUCED_BYTES_SHA256
+
+    def test_one_validation_per_elimination(self, monkeypatch):
+        # reduce splices the plan that found the trihedron eliminable
+        validate = eq._validate_trihedron
+        plans = []
+
+        def counting(g, t):
+            plan = validate(g, t)
+            plans.append(t)
+            return plan
+
+        monkeypatch.setattr(eq, "_validate_trihedron", counting)
+        rng = random.Random(1414)
+        words = [pure_word_of_length(400, 400_000)]  # criterion 10's l = 400
+        for _ in range(10):
+            w = random_word(3, rng.randint(4, 24), rng)
+            words.append(free_reduce(power(w, pure_power_exponent(w))))
+        eliminated = 0
+        for w in words:
+            g = build_trace_graph(w)
+            plans.clear()
+            r = eq.reduce(g)
+            assert len(plans) == (g.num_vertices - r.num_vertices) // 2, w
+            eliminated += len(plans)
+        assert eliminated
+
     def test_already_reduced_fixpoint(self):
         g = build_trace_graph(parse_word("(s1 s2^-1)^3", 3))
         r = eq.reduce(g)

@@ -108,6 +108,29 @@ class TestDocuments:
         with pytest.raises(SchemaError, match="pass_circle .* references missing circle 999"):
             document_to_graph(doc)
 
+    @pytest.mark.parametrize(
+        "key", ["word", "vertices", "edges", "circles", "symmetry", "pass_circle"]
+    )
+    def test_missing_top_level_key(self, key):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        del doc[key]
+        with pytest.raises(SchemaError, match=f"document: missing field '{key}'"):
+            document_to_graph(doc)
+
+    @pytest.mark.parametrize(
+        "kind,record,field",
+        [("vertices", "vertex", "below"), ("edges", "edge", "dt"), ("circles", "circle", "edges")],
+    )
+    def test_missing_record_field(self, kind, record, field):
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        rec = doc[kind][1]
+        del rec[field]
+        with pytest.raises(SchemaError, match=f"{record} {rec['id']}: missing field '{field}'"):
+            document_to_graph(doc)
+        del rec["id"]
+        with pytest.raises(SchemaError, match=f"{record} at position 1: missing field 'id'"):
+            document_to_graph(doc)
+
     def test_marking_names_its_components(self):
         # B3 s1 has components of lengths 2 and 1; swap i and j in the
         # marking of one mixed circle, leaving its comp_pair
@@ -260,6 +283,16 @@ class TestCli:
         r = run_cli("compare", str(a), str(a))
         assert r.returncode == 2
         assert f"edge {doc['edges'][0]['id']}: tail and head" in r.stderr
+
+    def test_compare_missing_key_exits_2(self, tmp_path):
+        a = tmp_path / "a.json"
+        run_cli("build", "--word", "s1 s2", "--out", str(a))
+        doc = json.loads(a.read_text())
+        del doc["pass_circle"]
+        a.write_text(json.dumps(doc))
+        r = run_cli("compare", str(a), str(a))
+        assert r.returncode == 2
+        assert "document: missing field 'pass_circle'" in r.stderr
 
     def test_compare_mismatched_strands_exits_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -182,6 +182,24 @@ class TestBuilderFloats:
                         if a != b:
                             assert _level_of_pair(paths, a, b, z) == scanned_level(paths, a, b, z)
 
+    def test_edge_levels_are_the_midpoint_scan(self):
+        # an edge across windows takes the resting level after its tail's
+        # window; levels change only at vertices, so that is the level the
+        # track scan gives at the edge's midpoint walk
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            for cid, orbit in enumerate(pass_orbits(w)):
+                total = float(len(orbit))
+                for eid in g.circles[cid].edges:
+                    e = g.edges[eid]
+                    if e.tail is None:
+                        mid = total / 2
+                    else:
+                        walk = orbit.index(e.tail_pair) + g.vertices[e.tail].z
+                        mid = (walk + e.dz / 2) % total
+                    a, b = orbit[int(mid)]
+                    assert e.level == scanned_level(g.paths, a, b, mid - int(mid)), (w, eid)
+
     def test_positions_at_is_every_track_position(self):
         w = parse_word("s1 s2^-1 s3 s2", 4)
         paths = strand_paths(w)
