@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import levels as lv
 from .embedding import t_over, wrap_pm_pi
 from .oracle import brute_counts, expected_circle_count
-from .tracegraph import TraceGraph, read_word_at, symmetry_involution
+from .tracegraph import TraceGraph, _level_of_pair, read_word_at, symmetry_involution
 
 TWO_PI = 2 * math.pi
 INJECTIVITY_SAMPLES = 24  # samples per pass circle of the injectivity check
@@ -143,8 +143,6 @@ def _sampled_injectivity(g: TraceGraph) -> bool:
     within 0.02 in z and 0.2 in t; the vertices are sorted by z, so only
     those within a slightly wider z range are tested."""
     paths = g.paths
-    from .tracegraph import _level_of_pair
-
     vertex_spots = sorted((v.z, v.t) for v in g.vertices.values())
     spot_z = [vz for vz, _ in vertex_spots]
     samples: dict[int, list] = {}

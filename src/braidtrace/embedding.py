@@ -348,23 +348,6 @@ class LetterGeometry:
             target -= math.pi  # eta runs 0 .. -pi
         return brentq(lambda s: self.eta(s) - target, 1e-15, 1.0 - 1e-15)
 
-    def moving_pair_delta_t(self, s1: float, s2: float) -> float:
-        """Exact t-displacement of the moving-pair curve over [s1, s2]."""
-        if s1 == 0.0 and s2 == 1.0:
-            return self.sign * math.pi
-        e1 = self.eta(s1) if s1 > 0.0 else 0.0
-        e2 = self.eta(s2) if s2 < 1.0 else -self.sign * math.pi
-        return -(e2 - e1)
-
-    def mover_spectator_delta_t(self, mover: str, slot: int, s1: float, s2: float) -> float:
-        """t-displacement of (mover, the point of spectator slot `slot`) over
-        [s1, s2]; the sight-line cone is narrower than pi, so the principal
-        wrap is exact.  Window ends read the tile's `sight_angles`."""
-        ends = self.sight_angles[mover, slot]
-        th1 = ends[0] if s1 == 0.0 else self._sight_angle(mover, slot, s1)
-        th2 = ends[1] if s2 == 1.0 else self._sight_angle(mover, slot, s2)
-        return -wrap_pm_pi(th2 - th1)
-
     def _sight_angle(self, mover: str, slot: int, s: float) -> float:
         x, y = self.u(s) if mover == "u" else self.v(s)
         slot_pt = slot_angles(self.n).points[slot - 1]
@@ -493,7 +476,6 @@ class StrandPathSet:
     occ: tuple[tuple[int, ...], ...]       # occupancy before each letter, plus top
     pos_of: tuple[tuple[int, ...], ...]    # pos_of[m][track-1] = slot position
     geoms: tuple[LetterGeometry, ...]
-    moving: dict[tuple[int, int], tuple[int, ...]]  # (a, b) -> windows where a or b moves, increasing
 
     @property
     def n(self) -> int:
@@ -597,12 +579,4 @@ def strand_paths(w: BraidWord) -> StrandPathSet:
             inv[tr - 1] = p
         pos_of.append(tuple(inv))
     geoms = tuple(letter_geometry(w.n, i, s) for i, s in w.letters)
-    by_track: list[set[int]] = [set() for _ in range(w.n)]
-    for m, (i, _) in enumerate(w.letters):
-        by_track[occ[m][i - 1] - 1].add(m)
-        by_track[occ[m][i] - 1].add(m)
-    moving = {}
-    for a in range(1, w.n + 1):
-        for b in range(a + 1, w.n + 1):
-            moving[a, b] = moving[b, a] = tuple(sorted(by_track[a - 1] | by_track[b - 1]))
-    return StrandPathSet(w, placement, bump_amplitude(w.n), occ, tuple(pos_of), geoms, moving)
+    return StrandPathSet(w, placement, bump_amplitude(w.n), occ, tuple(pos_of), geoms)

@@ -16,6 +16,7 @@ anchor candidate while staying equivalent to the full product enumeration
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -66,6 +67,11 @@ class TraceCode:
             and self.piece3 == other.piece3
             and sorted(self.free_circles) == sorted(other.free_circles)
         )
+
+    def __hash__(self):
+        return hash((
+            tuple(sorted(self.piece1)), self.piece2, self.piece3, tuple(sorted(self.free_circles))
+        ))
 
     def markings(self) -> set[Marking]:
         """The marking of every circle of the graph."""
@@ -218,15 +224,11 @@ def _mixed_families(tc: TraceCode, lengths: tuple[int, ...]) -> list[tuple[froze
 
 
 def _shift_assignments(fams) -> Iterator[dict[frozenset, int]]:
-    if not fams:
-        yield {}
-        return
-    fam, g = fams[0]
-    for rest in _shift_assignments(fams[1:]):
-        for s in range(g):
-            out = dict(rest)
-            out[fam] = s
-            yield out
+    """Every shift per family, the first family's varying fastest; each
+    dict lists the families last first (witness key order)."""
+    fams = fams[::-1]
+    for shifts in itertools.product(*(range(g) for _, g in fams)):
+        yield {fam: s for (fam, _), s in zip(fams, shifts)}
 
 
 def _code_visits(piece1: tuple[Triplet, ...]) -> dict[Marking, list[int]]:
@@ -306,8 +308,6 @@ def find_embedded_trihedra(g: TraceGraph) -> list[Trihedron]:
     edges, one trihedron per 3-subset.  Edge interiors are vertex-free by
     construction (edges are arcs between consecutive vertices), so every
     such subgraph is embedded."""
-    import itertools
-
     groups: dict[frozenset, list[int]] = {}
     for e in g.edges.values():
         if e.tail is None or e.tail == e.head:
@@ -501,8 +501,6 @@ def reduce(
     its circle's last outside edge.  The t+pi pairing of the survivors is
     read once, at the end (`pair_partners`).
     """
-    import itertools
-
     original = g.num_vertices
     work = g.copy()
 

@@ -15,12 +15,16 @@ double the direct computation gives:
 
 - `_vertex_tile` holds a letter's triple vertices as read from
   `letter_geometry`; its z offset (1 + s)/3 and second lift t0 + pi are
-  the expressions the direct computation evaluates.
+  the expressions the direct computation evaluates.  It also holds each
+  pass's level: the level of its ordered pair on the edge that leaves the
+  vertex upward.  Levels change only at vertices, so after a pair's last
+  pass in a window that is `_resting_level` at the slots after the window,
+  and between two trisecants of the moving pair it is the x-rank midway.
 - `LetterGeometry.sight_angles` holds the direction from a spectator slot
   to a mover at s = 0 and s = 1.  A pass that reaches a window's start or
   end has s = (ws - ws)/(we - ws) = 0.0 or (we - ws)/(we - ws) = 1.0 with
   no rounding, so the constant is the value the same expression gives
-  there, and each edge's dt keeps its addends and their order.
+  there.
 - `_resting_level`: outside every exchange window each track rests at a
   slot point, so the level of a pair there is an integer function of
   (n, slot of a, slot of b).
@@ -28,17 +32,13 @@ double the direct computation gives:
   in which one of a pair's tracks moves holds a visit of that pair (the
   window has a trisecant with each spectator, and its two lifts pass every
   ordered pair of the three tracks), so an edge spans at most the end of
-  its tail's window and the start of its head's.  `_visit_end` reads a
-  visit's s from its walk coordinate and evaluates one `eta(s)` or sight
-  angle for both edges at the visit.  An edge across windows adds its
-  tail's part and its head's part, one inside a window takes the
-  difference of its two angles, in the order `_delta_t_along` sums them.
-  Levels change only at vertices, so an edge across windows takes the
-  resting level after its tail's window.
-- `StrandPathSet.moving` lists the windows in which a pair's tracks move;
-  `_delta_t_along` visits them in increasing m, as a scan of every window
-  would.  It serves the vertex-free loops and is the tests' reference for
-  the edge parts.
+  its tail's window and the start of its head's, and a vertex-free circle
+  never moves (dt 0.0).  `_visit_end` reads a visit's s from its walk
+  coordinate and evaluates one `eta(s)` or sight angle for both edges at
+  the visit.  An edge across windows adds its tail's part and its head's
+  part; one inside a window joins two trisecants of the moving pair and
+  takes the difference of their angles.  On two strands there are no
+  vertices, and every window turns a loop by its letter's sign * pi.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .embedding import (
     slot_angles,
     strand_paths,
     t_over,
-    wrap_pi,
     wrap_pm_pi,
 )
 from .words import BraidWord, CycleStructure, cycle_structure, permutation
@@ -198,6 +197,7 @@ class _Visit:
     slope: float
     pair: tuple[int, int]    # ordered track pair of the pass
     m: int                   # the exchange window (letter) of the vertex
+    level: int               # of the pair on the edge leaving upward
 
 
 def build_trace_graph(w: BraidWord) -> TraceGraph:
@@ -222,9 +222,11 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             z_star = (m + z_in_slab) / l
             for t_star, y_order, passes in lifts:
                 vertices[vid] = TraceVertex(vid, z_star, t_star, y_order(tracks), m, spectator_slot)
-                for top, low, slope in passes:
+                for top, low, slope, level in passes:
                     pair = (tracks[top], tracks[low])
-                    pass_visits.setdefault(pair, []).append(_Visit(z_star, vid, slope, pair, m))
+                    pass_visits.setdefault(pair, []).append(
+                        _Visit(z_star, vid, slope, pair, m, level)
+                    )
                 vid += 1
             vertex_partner[vid - 2] = vid - 1
             vertex_partner[vid - 1] = vid - 2
@@ -257,7 +259,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
         visits: list[_Visit] = []
         for p, pair in enumerate(orbit):
             for vv in pass_visits.get(pair, ()):
-                visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair, vv.m))
+                visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair, vv.m, vv.level))
         circle_visits[cid] = visits
 
         comp_pair = (cs.component_of[start[0] - 1], cs.component_of[start[1] - 1])
@@ -272,9 +274,14 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
         total = float(orbit_len)
         edge_ids = []
         if not visits:
-            dt = _delta_t_along(paths, orbit, 0.0, total)
+            # for n >= 3 no window moves the pair's tracks (module docstring)
+            dt = 0.0
+            if n == 2:
+                for _ in orbit:
+                    for _, sign in w.letters:
+                        dt += sign * math.pi
             winding = _round_winding(dt, f"circle of pair {start}")
-            level = _level_at_walk(paths, orbit, total / 2)
+            level = _resting_level(n, *start)
             edges[eid] = TraceEdge(eid, None, None, total, dt, level, cid, comp_pair)
             edge_ids.append(eid)
             eid += 1
@@ -285,25 +292,21 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             for k in range(K):
                 src = visits[k]
                 dst = visits[(k + 1) % K]
-                window, angle, wrapped, _, tail = ends[k]
-                dst_window, dst_angle, _, head, _ = ends[(k + 1) % K]
+                window, angle, _, tail = ends[k]
+                dst_window, dst_angle, head, _ = ends[(k + 1) % K]
                 if k + 1 < K:
                     dz = dst.z - src.z
                 else:
                     dz = total - src.z + dst.z
                 if k + 1 < K and window == dst_window:
-                    turn = dst_angle - angle
-                    dt = 0.0 + (-wrap_pm_pi(turn) if wrapped else -turn)
-                    level = _level_at_walk(paths, orbit, src.z + dz / 2)
+                    # two trisecants of the moving pair, whose turn is < pi
+                    dt = 0.0 + -(dst_angle - angle)
                 else:
                     # no window where the pair moves lies between the two
                     # visits (module docstring)
                     dt = 0.0 + tail + head
-                    a, b = src.pair
-                    slots = paths.pos_of[src.m + 1]
-                    level = _resting_level(n, slots[a - 1], slots[b - 1])
                 edges[eid] = TraceEdge(
-                    eid, src.vertex, dst.vertex, dz, dt, level, cid, comp_pair,
+                    eid, src.vertex, dst.vertex, dz, dt, src.level, cid, comp_pair,
                     tail_pair=src.pair, head_pair=dst.pair,
                 )
                 dt_sum += dt
@@ -395,21 +398,46 @@ def _vertex_tile(n: int, slot: int, sign: int) -> tuple:
     strands named by index into (u, v, spectator): per trisecant, the
     spectator slot, the z offset in the slab in units of the slab, and for
     each time lift (t0, then t0 + pi) its t, a getter of its strands by
-    decreasing rotated y, and the (top, low, slope) of its three passes."""
+    decreasing rotated y, and the (top, low, slope, level) of its three
+    passes, the level being that of the pass's ordered pair on the edge
+    leaving the vertex upward."""
+    geom = letter_geometry(n, slot, sign)
     name = {"u": 0, "v": 1, "spec": 2}
+    events = geom.trisecants  # increasing s
     tile = []
-    for ev in letter_geometry(n, slot, sign).trisecants:
+    for k, ev in enumerate(events):
         slope = {frozenset(name[x] for x in key): val for key, val in ev.slopes.items()}
+        s_next = events[k + 1].s if k + 1 < len(events) else None
+        after = (slot + 1, slot, ev.spectator_slot)  # resting slots after the window
         order0 = tuple(name[x] for x in ev.y_order_t0)
         lifts = []
         for t_star, order in ((ev.t0, order0), (ev.t0 + math.pi, order0[::-1])):
             top, mid, low = order
             passes = tuple(
-                (x, y, slope[frozenset((x, y))]) for x, y in ((top, mid), (mid, low), (top, low))
+                (x, y, slope[frozenset((x, y))], _pass_level(geom, after, x, y, ev.s, s_next))
+                for x, y in ((top, mid), (mid, low), (top, low))
             )
             lifts.append((t_star, itemgetter(*order), passes))
         tile.append((ev.spectator_slot, (1.0 + ev.s) / 3.0, tuple(lifts)))
     return tuple(tile)
+
+
+def _pass_level(geom, after: tuple, x: int, y: int, s: float, s_next: Optional[float]) -> int:
+    """Level of the ordered pair (x, y) of (u, v, spectator) after its pass
+    at the trisecant at s.  Levels change only at vertices.  The moving
+    pair passes again at the next trisecant s_next of the window, so up to
+    there its level is the x-rank midway; after a pair's last pass in the
+    window it is the level at the resting slots `after`."""
+    if 2 in (x, y) or s_next is None:
+        return _resting_level(geom.n, after[x], after[y])
+    s_mid = (s + s_next) / 2
+    pts = list(slot_angles(geom.n).points)
+    pts[geom.slot - 1], pts[geom.slot] = geom.u(s_mid), geom.v(s_mid)
+    ia, ib = geom.slot - 1 + x, geom.slot - 1 + y
+    level = _x_rank(pts, ia, ib, t_over(pts[ia], pts[ib]))
+    if level is None:
+        raise GenericityError(f"level sample at s={s_mid} hits a collinearity, n={geom.n}")
+    return level
 
 
 def _assert_event_separation(vertices: dict[int, TraceVertex]) -> None:
@@ -434,15 +462,16 @@ def _round_winding(dt: float, what: str) -> int:
 
 def _visit_end(paths: StrandPathSet, l: int, vv: _Visit) -> tuple:
     """The ends of a circle visit's exchange window, read once per visit:
-    ((pass, window), its angle, whether its turns wrap, the t-displacement
-    from the window's start to the visit, and from the visit to the
-    window's end).
+    ((pass, window), its angle, the t-displacement from the window's start
+    to the visit, and from the visit to the window's end).
 
     The angle is `eta(s)` for a moving pair and the sight angle from the
-    spectator slot for a mover-spectator pair, and s is read from the walk
-    coordinate, so each part is the double `_delta_t_along` gives for the
-    same span.  A visit lies strictly inside its window, where the clamps
-    of `_delta_t_along` change nothing."""
+    spectator slot for a mover-spectator pair, with s read from the walk
+    coordinate; a window end is the tile constant for s = 0 or 1.  The
+    moving pair's direction turns by sign * pi over the window, and the
+    sight-line cone is narrower than pi, so a mover-spectator part is the
+    principal wrap of its turn.  A visit on the end of its window raises
+    GenericityError."""
     p, m = int(vv.z), vv.m
     ws, we = m / l + 1 / (3 * l), m / l + 2 / (3 * l)  # paths.window(m)
     s = (vv.z - p - ws) / (we - ws)
@@ -453,57 +482,13 @@ def _visit_end(paths: StrandPathSet, l: int, vv: _Visit) -> tuple:
     a, b = vv.pair
     if a in mv and b in mv:
         e = geom.eta(s)
-        return (p, m), e, False, -e, -(-geom.sign * math.pi - e)
+        return (p, m), e, -e, -(-geom.sign * math.pi - e)
     mover_track, other = (a, b) if a in mv else (b, a)
     sym = "u" if mover_track == mv[0] else "v"
     slot = paths.pos_of[m][other - 1]
     theta = geom._sight_angle(sym, slot, s)
     start, end = geom.sight_angles[sym, slot]
-    return (p, m), theta, True, -wrap_pm_pi(theta - start), -wrap_pm_pi(end - theta)
-
-
-def _delta_t_along(
-    paths: StrandPathSet, orbit: list[tuple[int, int]], w1: float, w2: float
-) -> float:
-    """Exact t-displacement along a circle between walk coordinates w1 <= w2
-    (walk = pass index + z).  Only exchange windows of the pair's own tracks
-    contribute; everything else is stationary.  Those windows come from
-    `paths.moving`, in increasing m."""
-    l = paths.length
-    if l == 0 or w1 >= w2:
-        return 0.0
-    moving, geoms, pos_of = paths.moving, paths.geoms, paths.pos_of
-    total = 0.0
-    for p in range(int(w1), min(int(math.ceil(w2)), len(orbit))):
-        a, b = orbit[p]
-        lo = max(w1 - p, 0.0)
-        hi = min(w2 - p, 1.0)
-        if lo >= hi:
-            continue
-        m_lo = max(0, int(lo * l) - 1)
-        m_hi = min(l, int(hi * l) + 2)
-        windows = moving[a, b]
-        for m in windows[bisect_left(windows, m_lo):bisect_left(windows, m_hi)]:
-            ws, we = m / l + 1 / (3 * l), m / l + 2 / (3 * l)  # paths.window(m)
-            if we <= lo or ws >= hi:
-                continue
-            s1 = max((max(lo, ws) - ws) / (we - ws), 0.0)
-            s2 = min((min(hi, we) - ws) / (we - ws), 1.0)
-            geom = geoms[m]
-            mv = paths.movers(m)
-            if a in mv and b in mv:
-                total += geom.moving_pair_delta_t(s1, s2)
-            else:
-                mover_track, other = (a, b) if a in mv else (b, a)
-                sym = "u" if mover_track == mv[0] else "v"
-                total += geom.mover_spectator_delta_t(sym, pos_of[m][other - 1], s1, s2)
-    return total
-
-
-def _level_at_walk(paths: StrandPathSet, orbit, walk: float) -> int:
-    p = int(walk) % len(orbit)
-    a, b = orbit[p]
-    return _level_of_pair(paths, a, b, walk - int(walk))
+    return (p, m), theta, -wrap_pm_pi(theta - start), -wrap_pm_pi(end - theta)
 
 
 def _level_of_pair(paths: StrandPathSet, a: int, b: int, z: float, t: float | None = None) -> int:
@@ -652,7 +637,7 @@ class FiberCrossing:
     over: int
     under: int
     comp_pair: tuple[int, int]
-    marking: Optional[Marking]
+    marking: Marking
     level: int
     sign: int
     circle: int
@@ -685,18 +670,11 @@ def singular_t_values(paths: StrandPathSet) -> list[tuple[float, str]]:
     return out
 
 
-def _paths_of(g) -> StrandPathSet:
-    if isinstance(g, StrandPathSet):
-        return g
-    if g.paths is None:
-        raise ValueError("graph was built without strand paths")
-    return g.paths
-
-
-def read_fiber(g, t: float) -> list[FiberCrossing]:
+def read_fiber(g: TraceGraph, t: float) -> list[FiberCrossing]:
     """Crossings of the diagram of the braid rotated by t, sorted by z."""
-    paths = _paths_of(g)
-    graph = g if isinstance(g, TraceGraph) else None
+    paths = g.paths
+    if paths is None:
+        raise ValueError("graph was built without strand paths")
     t = t % TWO_PI
     for t_bad, reason in singular_t_values(paths):
         if abs(wrap_pm_pi(2 * (t - t_bad))) / 2 < FIBER_TOL:
@@ -716,7 +694,7 @@ def read_fiber(g, t: float) -> list[FiberCrossing]:
                     continue
                 if a in mv and b in mv:
                     z = ws + geom.solve_direction(tau) * (we - ws)
-                    crossings.append(_fiber_crossing_at(paths, graph, cs, a, b, z, t))
+                    crossings.append(_fiber_crossing_at(g, cs, a, b, z, t))
                 else:
                     mover_track, other = (a, b) if a in mv else (b, a)
                     sym = "u" if mover_track == mv[0] else "v"
@@ -734,9 +712,7 @@ def read_fiber(g, t: float) -> list[FiberCrossing]:
                     for s_lo, s_hi in zip(splits, splits[1:]):
                         for s_root in _solve_monotone_theta(theta, s_lo, s_hi, tau):
                             z = ws + s_root * (we - ws)
-                            crossings.append(
-                                _fiber_crossing_at(paths, graph, cs, a, b, z, t)
-                            )
+                            crossings.append(_fiber_crossing_at(g, cs, a, b, z, t))
     crossings.sort(key=lambda c: c.z)
     for c1, c2 in zip(crossings, crossings[1:]):
         if c2.z - c1.z < FIBER_TOL:
@@ -756,11 +732,9 @@ def _solve_monotone_theta(theta, s_lo: float, s_hi: float, tau: float) -> Iterat
 
 
 def _fiber_crossing_at(
-    paths: StrandPathSet,
-    graph: Optional[TraceGraph],
-    cs: CycleStructure,
-    a: int, b: int, z: float, t: float,
+    g: TraceGraph, cs: CycleStructure, a: int, b: int, z: float, t: float
 ) -> FiberCrossing:
+    paths = g.paths
     pa = paths.track_position(a, z)
     pb = paths.track_position(b, z)
     over, under = (a, b) if rot_y(pa, t) > rot_y(pb, t) else (b, a)
@@ -771,13 +745,8 @@ def _fiber_crossing_at(
         raise SingularFiberError(f"crossing of ({a},{b}) at z={z:.9f} has no transversal sign")
     sign = 1 if va > vb else -1
     comp_pair = (cs.component_of[over - 1], cs.component_of[under - 1])
-    if graph is not None:
-        cid = graph.pass_circle[(over, under)]
-        marking = graph.circles[cid].marking
-    else:
-        cid = -1
-        marking = None
-    return FiberCrossing(z, t, over, under, comp_pair, marking, level, sign, cid)
+    cid = g.pass_circle[(over, under)]
+    return FiberCrossing(z, t, over, under, comp_pair, g.circles[cid].marking, level, sign, cid)
 
 
 def _rot_x_velocity(paths: StrandPathSet, track: int, z: float, t: float) -> float:
@@ -785,9 +754,7 @@ def _rot_x_velocity(paths: StrandPathSet, track: int, z: float, t: float) -> flo
     return vx * math.cos(t) - vy * math.sin(t)
 
 
-def read_word_at(g, t: float) -> BraidWord:
+def read_word_at(g: TraceGraph, t: float) -> BraidWord:
     """The braid word read off the fiber at angle t: letters are the
     (level, sign) of its crossings in z order.  At t=0 this is the input."""
-    paths = _paths_of(g)
-    crossings = read_fiber(g, t)
-    return BraidWord(paths.n, tuple((c.level, c.sign) for c in crossings))
+    return BraidWord(g.n, tuple((c.level, c.sign) for c in read_fiber(g, t)))

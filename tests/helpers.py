@@ -815,9 +815,10 @@ def wide_words():
 
 
 def full_scan_delta_t(paths, orbit, w1: float, w2: float) -> float:
-    """The t-displacement along a circle between walk coordinates w1 <= w2,
-    scanning every exchange window near each pass (the builder visits only
-    the windows where one of the pair's tracks moves)."""
+    """The t-displacement along a circle between walk coordinates w1 <= w2
+    (walk = pass index + z), summed over every exchange window near each
+    pass in increasing m.  The builder reads each edge's dt from the ends
+    of the windows that hold its two visits."""
     l = paths.length
     if l == 0 or w1 >= w2:
         return 0.0
@@ -841,13 +842,23 @@ def full_scan_delta_t(paths, orbit, w1: float, w2: float) -> float:
             s2 = min((min(hi, we) - ws) / (we - ws), 1.0)
             geom = paths.geoms[m]
             if a in mv and b in mv:
-                total += geom.moving_pair_delta_t(s1, s2)
+                total += moving_pair_delta_t(geom, s1, s2)
             else:
                 mover_track, other = (a, b) if a in mv else (b, a)
                 sym = "u" if mover_track == mv[0] else "v"
                 spt = paths.placement.points[paths.pos_of[m][other - 1] - 1]
                 total += _mover_spectator_delta_t(geom, sym, spt, s1, s2)
     return total
+
+
+def moving_pair_delta_t(geom, s1: float, s2: float) -> float:
+    """Exact t-displacement of the moving-pair curve of a letter over
+    [s1, s2]: minus the turn of `eta`, which runs from 0 to -sign*pi."""
+    if s1 == 0.0 and s2 == 1.0:
+        return geom.sign * math.pi
+    e1 = geom.eta(s1) if s1 > 0.0 else 0.0
+    e2 = geom.eta(s2) if s2 < 1.0 else -geom.sign * math.pi
+    return -(e2 - e1)
 
 
 def _mover_spectator_delta_t(geom, mover: str, slot_pt, s1: float, s2: float) -> float:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from helpers import moving_pair_delta_t
 
 from braidtrace import embedding as emb
 from braidtrace.embedding import (
@@ -136,7 +137,7 @@ class TestLetterGeometry:
     def test_moving_pair_sweep_is_sign_pi(self):
         for sign in (1, -1):
             g = letter_geometry(4, 2, sign)
-            assert g.moving_pair_delta_t(0.0, 1.0) == pytest.approx(sign * math.pi)
+            assert moving_pair_delta_t(g, 0.0, 1.0) == pytest.approx(sign * math.pi)
 
     def test_trisecant_middle_is_a_mover(self):
         for n in (3, 4, 5):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from helpers import (
@@ -114,6 +115,14 @@ class TestTraceCode:
     def test_codes_equal_reflexive(self):
         g = build_trace_graph(parse_word("s1 s2^-1", 3))
         assert eq.trace_code(g) == eq.trace_code(g)
+
+    def test_equal_codes_hash_alike(self):
+        # equality ignores the order of piece1 and free_circles, so the hash
+        # must too
+        a = eq.trace_code(build_trace_graph(parse_word("s1 s2^-1 s3 s2", 4)))
+        b = replace(a, piece1=a.piece1[::-1], free_circles=a.free_circles[::-1])
+        assert a.piece1 != b.piece1 and a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
 
 
 class TestIsotopic:

@@ -19,7 +19,7 @@ from braidtrace.serialize import (
     graph_to_document,
     to_dot,
 )
-from braidtrace.tracegraph import build_trace_graph
+from braidtrace.tracegraph import build_trace_graph, read_word_at
 from braidtrace.words import BraidWord, parse_word, random_word
 
 # sha256 of the canonical_json documents of golden_words(), one per line,
@@ -146,6 +146,13 @@ class TestDocuments:
         c["marking"][2] = 2  # gcd(2, 1) = 1 cyclic choice
         with pytest.raises(SchemaError, match="out of range"):
             document_to_graph(doc)
+
+    def test_loaded_graph_reads_no_fiber(self):
+        # a document holds no strand paths, so there is no fiber to read
+        g = build_trace_graph(parse_word("s1 s2^-1", 3))
+        loaded = document_to_graph(json.loads(canonical_json(graph_to_document(g))))
+        with pytest.raises(ValueError, match="built without strand paths"):
+            read_word_at(loaded, 0.0)
 
     def test_golden_bytes(self):
         h = hashlib.sha256()

@@ -20,7 +20,6 @@ from braidtrace.embedding import GenericityError, strand_paths, wrap_pm_pi
 from braidtrace.tracegraph import (
     Marking,
     SingularFiberError,
-    _delta_t_along,
     _level_of_pair,
     build_trace_graph,
     read_fiber,
@@ -151,21 +150,27 @@ class TestBuilderFloats:
     def test_golden_floats(self):
         assert builder_floats_digest(golden_words() + wide_words()) == GOLDEN_FLOATS_SHA256
 
-    def test_delta_t_matches_full_scan(self):
-        rng = random.Random(4242)
-        for w in golden_words()[::3] + wide_words():
-            paths = strand_paths(w)
-            l = len(w)
-            for orbit in pass_orbits(w):
+    def test_edge_dt_is_the_full_scan(self):
+        # every edge's dt is the sum over every exchange window of its walk
+        # span; a circle's closing edge wraps through walk 0
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            for cid, orbit in enumerate(pass_orbits(w)):
                 total = float(len(orbit))
-                # window ends, so that whole windows and exact ends occur
-                ends = [p + x for p in range(len(orbit)) for m in range(l) for x in paths.window(m)]
-                cuts = [0.0, total] + rng.sample(ends, min(len(ends), 8))
-                cuts += [rng.uniform(0.0, total) for _ in range(8)]
-                for _ in range(12):
-                    w1, w2 = sorted(rng.sample(cuts, 2))
-                    got = _delta_t_along(paths, orbit, w1, w2)
-                    assert got.hex() == full_scan_delta_t(paths, orbit, w1, w2).hex(), (w, w1, w2)
+                edge_ids = g.circles[cid].edges
+                for eid in edge_ids:
+                    e = g.edges[eid]
+                    if e.tail is None:
+                        want = full_scan_delta_t(g.paths, orbit, 0.0, total)
+                    else:
+                        w1 = orbit.index(e.tail_pair) + g.vertices[e.tail].z
+                        w2 = orbit.index(e.head_pair) + g.vertices[e.head].z
+                        if eid == edge_ids[-1]:
+                            want = (full_scan_delta_t(g.paths, orbit, w1, total)
+                                    + full_scan_delta_t(g.paths, orbit, 0.0, w2))
+                        else:
+                            want = full_scan_delta_t(g.paths, orbit, w1, w2)
+                    assert e.dt.hex() == want.hex(), (w, eid)
 
     def test_levels_match_the_track_scan(self):
         # outside every exchange window each track rests at a slot point, and
@@ -365,9 +370,9 @@ class TestFibers:
         for n in range(2, 9):
             for slot in range(1, n):
                 for sign in (1, -1):
-                    paths = strand_paths(BraidWord(n, ((slot, sign),)))
-                    (crossing,) = read_fiber(paths, 0.0)
-                    assert {crossing.over, crossing.under} == set(paths.movers(0))
+                    g = build_trace_graph(BraidWord(n, ((slot, sign),)))
+                    (crossing,) = read_fiber(g, 0.0)
+                    assert {crossing.over, crossing.under} == set(g.paths.movers(0))
 
     def test_nine_strands_refused_before_building(self):
         # the supported strand range ends at 8; beyond it some letters have
