@@ -513,28 +513,6 @@ class StrandPathSet:
             return self.geoms[m].v(3 * frac - 1)
         return pts[pos - 1]
 
-    def track_velocity(self, track: int, z: float) -> tuple[float, float]:
-        """d(position)/dz; scaled by 3l inside exchange windows."""
-        l = self.length
-        if l == 0:
-            return (0.0, 0.0)
-        z = z % 1.0
-        m = min(int(z * l), l - 1)
-        frac = z * l - m
-        if frac < 1 / 3 or frac >= 2 / 3:
-            return (0.0, 0.0)
-        pos = self.pos_of[m][track - 1]
-        i = self.word.letters[m][0]
-        s = 3 * frac - 1
-        scale = 3 * l
-        if pos == i:
-            vx, vy = self.geoms[m].u_velocity(s)
-        elif pos == i + 1:
-            vx, vy = self.geoms[m].v_velocity(s)
-        else:
-            return (0.0, 0.0)
-        return (vx * scale, vy * scale)
-
     def _slab(self, z: float) -> tuple[int, float]:
         """(m, fraction of slab m) at height z, for a non-empty word."""
         l = len(self.word.letters)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import math
 
+from . import __version__ as TOOL_VERSION
 from .embedding import EVENT_SEP, GENERICITY_MARGIN, ROOT_TOL
 from .tracegraph import Marking, TraceCircle, TraceEdge, TraceGraph, TraceVertex
 from .words import BraidWord, cycle_structure
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 
 class SchemaError(ValueError):

@@ -39,6 +39,16 @@ double the direct computation gives:
   part; one inside a window joins two trisecants of the moving pair and
   takes the difference of their angles.  On two strands there are no
   vertices, and every window turns a loop by its letter's sign * pi.
+
+Fibers are read from tiles of the same kind.  `_fiber_tile(n, slot, sign,
+t)` holds the crossings of a letter's window in the fiber at t: each one's
+window parameter s (the root where the moving chord, or the sight line
+from a spectator slot to a mover, points along pi/2 - t), its over and
+under strands named by their slots at the window's start, its x-rank
+level and the rotated-x velocity difference whose sign is the crossing's.
+`read_fiber` maps the slots to tracks and sets z = ws + s*(we - ws) for
+window [ws, we].  The roots do not depend on the word, so z is the double
+that solving the same root afresh for the letter at m gives.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -56,6 +66,7 @@ from .embedding import (
     GenericityError,
     StrandPathSet,
     letter_geometry,
+    rot_x,
     rot_y,
     slot_angles,
     strand_paths,
@@ -491,20 +502,15 @@ def _visit_end(paths: StrandPathSet, l: int, vv: _Visit) -> tuple:
     return (p, m), theta, -wrap_pm_pi(theta - start), -wrap_pm_pi(end - theta)
 
 
-def _level_of_pair(paths: StrandPathSet, a: int, b: int, z: float, t: float | None = None) -> int:
+def _level_of_pair(paths: StrandPathSet, a: int, b: int, z: float) -> int:
     """Level of the crossing of tracks a, b at height z: its x-order position
-    in the rotated diagram.  With t omitted, the frame is the pair's own
-    over-lift (the right frame for a point of the trace graph); fiber reads
-    pass their own rotation angle."""
-    if t is None:
-        slots = paths.resting_slots(z)
-        if slots is not None:
-            return _resting_level(paths.n, slots[a - 1], slots[b - 1])
+    in the diagram rotated to the pair's own over-lift, the frame of a point
+    of the trace graph."""
+    slots = paths.resting_slots(z)
+    if slots is not None:
+        return _resting_level(paths.n, slots[a - 1], slots[b - 1])
     pos = paths.positions_at(z)
-    pa, pb = pos[a - 1], pos[b - 1]
-    if t is None:
-        t = t_over(pa, pb)
-    level = _x_rank(pos, a - 1, b - 1, t)
+    level = _x_rank(pos, a - 1, b - 1, t_over(pos[a - 1], pos[b - 1]))
     if level is None:
         raise GenericityError(f"level sample at z={z} hits a collinearity for pair ({a},{b})")
     return level
@@ -680,44 +686,80 @@ def read_fiber(g: TraceGraph, t: float) -> list[FiberCrossing]:
         if abs(wrap_pm_pi(2 * (t - t_bad))) / 2 < FIBER_TOL:
             raise SingularFiberError(f"t={t:.6f} is singular: {reason}")
 
-    cs = cycle_structure(paths.word)
+    component_of = g.cycles.component_of
     crossings = []
-    n = paths.n
-    tau = math.pi / 2 - t  # target chord direction mod pi
-    for m in range(paths.length):
-        mv = paths.movers(m)
-        geom = paths.geoms[m]
+    n, l = paths.n, paths.length
+    for m, (slot, sign) in enumerate(paths.word.letters):
+        occ = paths.occ[m]
         ws, we = paths.window(m)
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if a not in mv and b not in mv:
-                    continue
-                if a in mv and b in mv:
-                    z = ws + geom.solve_direction(tau) * (we - ws)
-                    crossings.append(_fiber_crossing_at(g, cs, a, b, z, t))
-                else:
-                    mover_track, other = (a, b) if a in mv else (b, a)
-                    sym = "u" if mover_track == mv[0] else "v"
-                    slot = paths.pos_of[m][other - 1]
-                    spt = paths.placement.points[slot - 1]
-                    f = geom.u if sym == "u" else geom.v
-                    theta = lambda s, f=f, spt=spt: math.atan2(
-                        f(s)[1] - spt[1], f(s)[0] - spt[0]
-                    )
-                    exts = sorted(
-                        ex.s for ex in geom.extrema
-                        if ex.mover == sym and ex.spectator_slot == slot
-                    )
-                    splits = [0.0] + exts + [1.0]
-                    for s_lo, s_hi in zip(splits, splits[1:]):
-                        for s_root in _solve_monotone_theta(theta, s_lo, s_hi, tau):
-                            z = ws + s_root * (we - ws)
-                            crossings.append(_fiber_crossing_at(g, cs, a, b, z, t))
+        for s, x, y, x_level, y_level, dv in _fiber_tile(n, slot, sign, t):
+            over, under = occ[x - 1], occ[y - 1]
+            a, b = sorted((over, under))
+            z = ws + s * (we - ws)
+            level = x_level if over == a else y_level
+            if level is None:
+                raise GenericityError(
+                    f"level sample at z={z} hits a collinearity for pair ({a},{b})"
+                )
+            if abs(3 * l * dv) < FIBER_TOL:  # dv per unit s; s runs 3l times as fast as z
+                raise SingularFiberError(
+                    f"crossing of ({a},{b}) at z={z:.9f} has no transversal sign"
+                )
+            cid = g.pass_circle[(over, under)]
+            crossings.append(FiberCrossing(
+                z, t, over, under, (component_of[over - 1], component_of[under - 1]),
+                g.circles[cid].marking, level, 1 if dv > 0 else -1, cid,
+            ))
     crossings.sort(key=lambda c: c.z)
     for c1, c2 in zip(crossings, crossings[1:]):
         if c2.z - c1.z < FIBER_TOL:
             raise SingularFiberError(f"two crossings share z={c1.z:.9f}")
     return crossings
+
+
+@lru_cache(maxsize=1024)
+def _fiber_tile(n: int, slot: int, sign: int, t: float) -> tuple:
+    """The crossings of letter (slot, sign)'s window on n strands in the
+    fiber at t, t in [0, 2pi): per crossing its window parameter s, its
+    over and under strands named by their slots at the window's start, the
+    x-rank level measured from the over and from the under strand (None
+    where another point is within 1e-9), and the rotated-x velocity of the
+    over strand minus the under strand's, per unit s.  At a root the two
+    strands' rotated x differ by up to about 1e-10, so both levels are
+    kept: `read_fiber` takes the one of the lower-numbered track.
+
+    The moving pair crosses once, where the chord points along pi/2 - t
+    mod pi; a mover and a spectator cross where the sight angle does, on
+    each monotone piece between the pair's tangency extrema."""
+    geom = letter_geometry(n, slot, sign)
+    pts = slot_angles(n).points
+    tau = math.pi / 2 - t  # target chord direction mod pi
+    roots = [(slot, slot + 1, geom.solve_direction(tau))]
+    for spec in range(1, n + 1):
+        if spec in (slot, slot + 1):
+            continue
+        for sym, mover in (("u", slot), ("v", slot + 1)):
+            exts = sorted(
+                ex.s for ex in geom.extrema if ex.mover == sym and ex.spectator_slot == spec
+            )
+            splits = [0.0] + exts + [1.0]
+            theta = partial(geom._sight_angle, sym, spec)
+            for s_lo, s_hi in zip(splits, splits[1:]):
+                roots.extend(
+                    (mover, spec, s) for s in _solve_monotone_theta(theta, s_lo, s_hi, tau)
+                )
+    tile = []
+    for a, b, s in roots:
+        at = list(pts)
+        at[slot - 1], at[slot] = geom.u(s), geom.v(s)
+        vel = {slot: geom.u_velocity(s), slot + 1: geom.v_velocity(s)}
+        over, under = (a, b) if rot_y(at[a - 1], t) > rot_y(at[b - 1], t) else (b, a)
+        tile.append((
+            s, over, under,
+            _x_rank(at, over - 1, under - 1, t), _x_rank(at, under - 1, over - 1, t),
+            rot_x(vel.get(over, (0.0, 0.0)), t) - rot_x(vel.get(under, (0.0, 0.0)), t),
+        ))
+    return tuple(tile)
 
 
 def _solve_monotone_theta(theta, s_lo: float, s_hi: float, tau: float) -> Iterator[float]:
@@ -729,29 +771,6 @@ def _solve_monotone_theta(theta, s_lo: float, s_hi: float, tau: float) -> Iterat
     for c in (c0, c0 - math.pi):
         if (0.0 < c < u_hi) or (u_hi < c < 0.0):
             yield emb.brentq(lambda s: wrap_pm_pi(theta(s) - th1) - c, s_lo, s_hi)
-
-
-def _fiber_crossing_at(
-    g: TraceGraph, cs: CycleStructure, a: int, b: int, z: float, t: float
-) -> FiberCrossing:
-    paths = g.paths
-    pa = paths.track_position(a, z)
-    pb = paths.track_position(b, z)
-    over, under = (a, b) if rot_y(pa, t) > rot_y(pb, t) else (b, a)
-    level = _level_of_pair(paths, a, b, z, t)
-    va = _rot_x_velocity(paths, over, z, t)
-    vb = _rot_x_velocity(paths, under, z, t)
-    if abs(va - vb) < FIBER_TOL:
-        raise SingularFiberError(f"crossing of ({a},{b}) at z={z:.9f} has no transversal sign")
-    sign = 1 if va > vb else -1
-    comp_pair = (cs.component_of[over - 1], cs.component_of[under - 1])
-    cid = g.pass_circle[(over, under)]
-    return FiberCrossing(z, t, over, under, comp_pair, g.circles[cid].marking, level, sign, cid)
-
-
-def _rot_x_velocity(paths: StrandPathSet, track: int, z: float, t: float) -> float:
-    vx, vy = paths.track_velocity(track, z)
-    return vx * math.cos(t) - vy * math.sin(t)
 
 
 def read_word_at(g: TraceGraph, t: float) -> BraidWord:

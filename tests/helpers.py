@@ -19,6 +19,9 @@ t-displacement, the canonical JSON writer and the t+pi vertex matcher are
 checked against their earlier, plainer forms: a scan of every exchange
 window, a level read from every track's position, a writer that
 dispatches by isinstance and a match of every vertex against every vertex.
+The fiber reader's per-letter tiles are checked against its earlier
+per-pair solve, which read each crossing from track positions and
+velocities.
 The t+pi edge pairing of a built graph is checked against the builder's
 earlier pairing of pass visits by their rank along the reversed pair.
 """
@@ -35,10 +38,18 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from braidtrace import equivalence as eq
-from braidtrace.embedding import GenericityError, rot_x, t_over, wrap_pm_pi
+from braidtrace.embedding import GenericityError, rot_x, rot_y, t_over, wrap_pm_pi
 from braidtrace.levels import CYCLE_BUDGET, simple_cycles
 from braidtrace.threebraid import TripletColumn, cyclic_invariant, minimal_rotation
-from braidtrace.tracegraph import SYMMETRY_TOL
+from braidtrace.tracegraph import (
+    FIBER_TOL,
+    SYMMETRY_TOL,
+    FiberCrossing,
+    SingularFiberError,
+    _solve_monotone_theta,
+    _x_rank,
+    singular_t_values,
+)
 from braidtrace.words import (
     BraidWord,
     concatenate,
@@ -900,3 +911,103 @@ def reference_fmt(value) -> str:
         items = sorted(value.items(), key=lambda kv: kv[0])
         return "{" + ",".join(f"{json.dumps(k)}:{reference_fmt(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialise {type(value)}")
+
+
+def reference_read_fiber(g, t: float):
+    """`tracegraph.read_fiber` as it solved each fiber before the per-letter
+    fiber tiles: every track pair of every letter, its roots solved on each
+    call, and every crossing's over strand, level and sign read from the
+    track positions and velocities at its z."""
+    paths = g.paths
+    if paths is None:
+        raise ValueError("graph was built without strand paths")
+    t = t % TWO_PI
+    for t_bad, reason in singular_t_values(paths):
+        if abs(wrap_pm_pi(2 * (t - t_bad))) / 2 < FIBER_TOL:
+            raise SingularFiberError(f"t={t:.6f} is singular: {reason}")
+
+    cs = cycle_structure(paths.word)
+    crossings = []
+    n = paths.n
+    tau = math.pi / 2 - t  # target chord direction mod pi
+    for m in range(paths.length):
+        mv = paths.movers(m)
+        geom = paths.geoms[m]
+        ws, we = paths.window(m)
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                if a not in mv and b not in mv:
+                    continue
+                if a in mv and b in mv:
+                    z = ws + geom.solve_direction(tau) * (we - ws)
+                    crossings.append(_reference_crossing_at(g, cs, a, b, z, t))
+                else:
+                    mover_track, other = (a, b) if a in mv else (b, a)
+                    sym = "u" if mover_track == mv[0] else "v"
+                    slot = paths.pos_of[m][other - 1]
+                    spt = paths.placement.points[slot - 1]
+                    f = geom.u if sym == "u" else geom.v
+                    theta = lambda s, f=f, spt=spt: math.atan2(
+                        f(s)[1] - spt[1], f(s)[0] - spt[0]
+                    )
+                    exts = sorted(
+                        ex.s for ex in geom.extrema
+                        if ex.mover == sym and ex.spectator_slot == slot
+                    )
+                    splits = [0.0] + exts + [1.0]
+                    for s_lo, s_hi in zip(splits, splits[1:]):
+                        for s_root in _solve_monotone_theta(theta, s_lo, s_hi, tau):
+                            z = ws + s_root * (we - ws)
+                            crossings.append(_reference_crossing_at(g, cs, a, b, z, t))
+    crossings.sort(key=lambda c: c.z)
+    for c1, c2 in zip(crossings, crossings[1:]):
+        if c2.z - c1.z < FIBER_TOL:
+            raise SingularFiberError(f"two crossings share z={c1.z:.9f}")
+    return crossings
+
+
+def _reference_crossing_at(g, cs, a: int, b: int, z: float, t: float) -> FiberCrossing:
+    paths = g.paths
+    pa = paths.track_position(a, z)
+    pb = paths.track_position(b, z)
+    over, under = (a, b) if rot_y(pa, t) > rot_y(pb, t) else (b, a)
+    pos = paths.positions_at(z)
+    level = _x_rank(pos, a - 1, b - 1, t)
+    if level is None:
+        raise GenericityError(f"level sample at z={z} hits a collinearity for pair ({a},{b})")
+    va = _rot_x_velocity(paths, over, z, t)
+    vb = _rot_x_velocity(paths, under, z, t)
+    if abs(va - vb) < FIBER_TOL:
+        raise SingularFiberError(f"crossing of ({a},{b}) at z={z:.9f} has no transversal sign")
+    sign = 1 if va > vb else -1
+    comp_pair = (cs.component_of[over - 1], cs.component_of[under - 1])
+    cid = g.pass_circle[(over, under)]
+    return FiberCrossing(z, t, over, under, comp_pair, g.circles[cid].marking, level, sign, cid)
+
+
+def _rot_x_velocity(paths, track: int, z: float, t: float) -> float:
+    vx, vy = _track_velocity(paths, track, z)
+    return vx * math.cos(t) - vy * math.sin(t)
+
+
+def _track_velocity(paths, track: int, z: float) -> tuple[float, float]:
+    """d(position)/dz; scaled by 3l inside exchange windows."""
+    l = paths.length
+    if l == 0:
+        return (0.0, 0.0)
+    z = z % 1.0
+    m = min(int(z * l), l - 1)
+    frac = z * l - m
+    if frac < 1 / 3 or frac >= 2 / 3:
+        return (0.0, 0.0)
+    pos = paths.pos_of[m][track - 1]
+    i = paths.word.letters[m][0]
+    s = 3 * frac - 1
+    scale = 3 * l
+    if pos == i:
+        vx, vy = paths.geoms[m].u_velocity(s)
+    elif pos == i + 1:
+        vx, vy = paths.geoms[m].v_velocity(s)
+    else:
+        return (0.0, 0.0)
+    return (vx * scale, vy * scale)

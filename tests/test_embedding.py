@@ -15,7 +15,7 @@ from braidtrace.embedding import (
     strand_paths,
     t_over,
 )
-from braidtrace.tracegraph import build_trace_graph, read_fiber
+from braidtrace.tracegraph import _fiber_tile, build_trace_graph, read_fiber
 from braidtrace.words import BraidWord, parse_word
 
 
@@ -195,8 +195,10 @@ class TestBrentqMatchesScipy:
             w = BraidWord(n, tuple((i, e) for e in (1, -1) for i in range(1, n)))
             g = build_trace_graph(w)
             roots.clear()
+            _fiber_tile.cache_clear()
             assert len(read_fiber(g, 0.0)) == len(roots) == len(w)
             roots.clear()
+            _fiber_tile.cache_clear()
             assert len(read_fiber(g, 1.9)) == len(roots) >= len(w)
             spectator_roots += len(roots) - len(w)
         assert spectator_roots > 0

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from helpers import golden_words, reference_fmt
@@ -52,6 +53,16 @@ class TestDocuments:
         _, g2 = borromean_graphs
         loaded = document_to_graph(json.loads(canonical_json(graph_to_document(g2))))
         assert eq.reduce(loaded).num_vertices == 12
+
+    def test_version_has_one_source(self):
+        # the document's tool version is the package's, which the project
+        # metadata declares
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+            declared = tomllib.load(f)["project"]["version"]
+        doc = graph_to_document(build_trace_graph(parse_word("s1", 3)))
+        assert doc["provenance"]["version"] == serialize.TOOL_VERSION == declared
+        assert braidtrace.__version__ == declared
 
     def test_schema_version_checked(self):
         g = build_trace_graph(parse_word("s1", 3))

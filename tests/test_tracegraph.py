@@ -8,6 +8,7 @@ from helpers import (
     full_scan_delta_t,
     golden_words,
     ranked_edge_partner,
+    reference_read_fiber,
     scanned_level,
     scanned_symmetry_involution,
     wide_words,
@@ -391,6 +392,49 @@ class TestFibers:
                 continue
             witness = oracle.conjugator_search(w, fw, 6)
             assert witness is not None
+
+
+def fiber_outcome(read, g, t):
+    """The crossings read at t, or the class of the error the read raised."""
+    try:
+        return read(g, t)
+    except (ValueError, RuntimeError) as ex:
+        return type(ex)
+
+
+class TestFiberTiles:
+    """`read_fiber` reads each letter's crossings from a per-letter tile; the
+    reference solves every track pair on each call from positions and
+    velocities.  Both give the same crossings, z and t to the bit, or
+    raise the same error class."""
+
+    def assert_same_fiber(self, g, t):
+        want = fiber_outcome(reference_read_fiber, g, t)
+        got = fiber_outcome(read_fiber, g, t)
+        assert got == want, (g.word, t)
+        if isinstance(want, list):
+            assert [(c.z.hex(), c.t.hex()) for c in got] == [(c.z.hex(), c.t.hex()) for c in want]
+        return want
+
+    def test_generic_fibers_match_the_per_pair_solve(self):
+        rng = random.Random(2713)
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            assert self.assert_same_fiber(g, 0.0) == read_fiber(g, 0.0)
+            for _ in range(4):
+                self.assert_same_fiber(g, rng.uniform(0.0, 2 * math.pi))
+
+    def test_near_singular_fibers_match_the_per_pair_solve(self):
+        rng = random.Random(808)
+        outcomes = set()
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                g = build_trace_graph(random_word(n, rng.randint(1, 8), rng))
+                for t_bad, _ in singular_t_values(g.paths)[:12]:
+                    for eps in (1e-4, -1e-4, 2e-9, -2e-9):
+                        want = self.assert_same_fiber(g, t_bad + eps)
+                        outcomes.add(want if isinstance(want, type) else list)
+        assert list in outcomes
 
 
 class TestLocalStructure:
