@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import levels as lv
 from .embedding import t_over, wrap_pm_pi
 from .oracle import brute_counts, expected_circle_count
-from .tracegraph import TraceGraph, _level_of_pair, read_word_at, symmetry_involution
+from .tracegraph import TraceGraph, _level_at, read_word_at, symmetry_involution
 
 TWO_PI = 2 * math.pi
 INJECTIVITY_SAMPLES = 24  # samples per pass circle of the injectivity check
@@ -138,26 +138,9 @@ def _attractor_checks(g: TraceGraph) -> tuple[bool, str, list[str]]:
 
 
 def _sampled_injectivity(g: TraceGraph) -> bool:
-    """Sample the crossing curves and look for same-level coincidences in
-    (z, t) away from vertices.  A sample is near a vertex when it lies
-    within 0.02 in z and 0.2 in t; the vertices are sorted by z, so only
-    those within a slightly wider z range are tested."""
-    paths = g.paths
-    vertex_spots = sorted((v.z, v.t) for v in g.vertices.values())
-    spot_z = [vz for vz, _ in vertex_spots]
-    samples: dict[int, list] = {}
-    for (a, b), cid in g.pass_circle.items():
-        for i in range(INJECTIVITY_SAMPLES):
-            z = (i + 0.5) / INJECTIVITY_SAMPLES
-            pa = paths.track_position(a, z)
-            pb = paths.track_position(b, z)
-            t = t_over(pa, pb)
-            near = vertex_spots[bisect_left(spot_z, z - 0.03):bisect_right(spot_z, z + 0.03)]
-            if any(abs(z - vz) < 0.02 and abs(wrap_pm_pi(t - vt)) < 0.2 for vz, vt in near):
-                continue
-            lvl = _level_of_pair(paths, a, b, z)
-            samples.setdefault(lvl, []).append((z, t, (a, b)))
-    for lvl, pts in samples.items():
+    """Look for same-level coincidences in (z, t) away from vertices among
+    the samples of `_injectivity_samples`."""
+    for pts in _injectivity_samples(g).values():
         pts.sort()
         for p1, p2 in zip(pts, pts[1:]):
             if (
@@ -167,3 +150,27 @@ def _sampled_injectivity(g: TraceGraph) -> bool:
             ):
                 return False
     return True
+
+
+def _injectivity_samples(g: TraceGraph) -> dict[int, list]:
+    """level -> (z, t, pair) samples of the crossing curves, INJECTIVITY_SAMPLES
+    heights per pass circle, leaving out those near a vertex: within 0.02
+    in z and 0.2 in t.  Each height's track positions, resting slots and
+    nearby vertices (by bisection on the z-sorted vertices) are read once."""
+    paths = g.paths
+    vertex_spots = sorted((v.z, v.t) for v in g.vertices.values())
+    spot_z = [vz for vz, _ in vertex_spots]
+    samples: dict[int, list] = {}
+    for i in range(INJECTIVITY_SAMPLES):
+        z = (i + 0.5) / INJECTIVITY_SAMPLES
+        pos = paths.positions_at(z)
+        slots = paths.resting_slots(z)
+        near = vertex_spots[bisect_left(spot_z, z - 0.03):bisect_right(spot_z, z + 0.03)]
+        near_t = [vt for vz, vt in near if abs(z - vz) < 0.02]
+        for a, b in g.pass_circle:
+            t = t_over(pos[a - 1], pos[b - 1])
+            if any(abs(wrap_pm_pi(t - vt)) < 0.2 for vt in near_t):
+                continue
+            lvl = _level_at(g.n, slots, pos, a, b, z)
+            samples.setdefault(lvl, []).append((z, t, (a, b)))
+    return samples

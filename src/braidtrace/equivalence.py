@@ -80,35 +80,93 @@ class TraceCode:
         return out
 
 
-def vertex_triplet(g: TraceGraph, v: TraceVertex) -> Triplet:
+def circle_positions(g: TraceGraph) -> dict[int, int]:
+    """edge -> its position along its circle (`TraceCircle.edges` order)."""
+    return {eid: x for c in g.circles.values() for x, eid in enumerate(c.edges)}
+
+
+def vertex_triplet(g: TraceGraph, v: TraceVertex, position: dict[int, int]) -> Triplet:
     """The ordered triplet of a vertex: its three lower branches in
     increasing local t, each as (circle marking, visit index from the
-    circle's first edge, level of the entering edge)."""
+    circle's first edge, level of the entering edge).  `position` is
+    `circle_positions(g)`."""
     out = []
     for eid in v.below:
         e = g.edges[eid]
         c = g.circles[e.circle]
-        idx = (c.edges.index(eid) + 1) % len(c.edges) + 1
+        idx = (position[eid] + 1) % len(c.edges) + 1
         out.append((c.marking, idx, e.level))
     return tuple(out)
 
 
 def trace_code(g: TraceGraph) -> TraceCode:
     """The trace code for the construction's base points and marking
-    representatives.  Each level subgraph is built once, for both
-    profiles."""
-    piece1 = tuple(vertex_triplet(g, v) for v in g.vertices.values())
-    levels = [lv.level_subgraph(g, k) for k in range(1, g.n)]
+    representatives.
+
+    Levels k <= n - k are built first.  The t+pi shift maps level k to
+    level n - k; when the graph's pairing carries the one onto the other
+    (`_pairing_carries`), that map is an isomorphism of level subgraphs
+    that keeps every vertex's edge order (so the upward walk's successor
+    rule) and every cycle's class, and level n - k takes level k's
+    profiles.  Otherwise level n - k is built too.  Each built level
+    serves both profiles."""
+    n = g.n
+    position = circle_positions(g)
+    piece1 = tuple(vertex_triplet(g, v, position) for v in g.vertices.values())
+    by_level: dict[int, set[int]] = {}
+    for e in g.edges.values():
+        by_level.setdefault(e.level, set()).add(e.id)
+    built = {k: lv.level_subgraph(g, k) for k in range(1, n // 2 + 1)}
+    source = {}  # level n - k -> k, for the levels read from their mirror
+    for k in range(n // 2 + 1, n):
+        if _pairing_carries(g, built[n - k], by_level.get(k, set())):
+            source[k] = n - k
+        else:
+            built[k] = lv.level_subgraph(g, k)
+    levels = [built[k] for k in sorted(built)]
     att = lv.attractor_profile(levels)
     mx = lv.maximal_profile(levels)
-    piece2 = tuple(att[k] for k in range(1, g.n))
-    piece3 = tuple(mx[k] for k in range(1, g.n))
+    piece2 = tuple(att[source.get(k, k)] for k in range(1, n))
+    piece3 = tuple(mx[source.get(k, k)] for k in range(1, n))
     free = []
     for c in g.circles.values():
         e = g.edges[c.edges[0]]
         if e.tail is None:
             free.append((c.marking, e.level, (c.dz_total, c.dt_winding)))
     return TraceCode(piece1, piece2, piece3, tuple(sorted(free)))
+
+
+def _pairing_carries(g: TraceGraph, s: lv.LevelSubgraph, mirror: set[int]) -> bool:
+    """True when `edge_partner` and `vertex_partner` carry level subgraph s
+    onto the level whose edges are `mirror`: a bijection of the edges that
+    maps tails and heads through the vertex pairing and loops to loops,
+    keeps every vertex's below and above order within the level, and keeps
+    every edge's dz and dt within 1e-9 (so every cycle's class)."""
+    ep, vp = g.edge_partner, g.vertex_partner
+    if len(s.edges) != len(mirror):
+        return False
+    image = set()
+    for eid in s.edges:
+        pid = ep.get(eid)
+        if pid not in mirror:
+            return False
+        image.add(pid)
+        e, p = g.edges[eid], g.edges[pid]
+        if (e.tail is None) != (p.tail is None):
+            return False
+        if e.tail is not None and (p.tail != vp.get(e.tail) or p.head != vp.get(e.head)):
+            return False
+        if abs(e.dz - p.dz) > 1e-9 or abs(e.dt - p.dt) > 1e-9:
+            return False
+    if len(image) != len(mirror):
+        return False
+    for vid in s.vertices:
+        pv = g.vertices[vp[vid]]
+        if [ep[e] for e in s.down_of[vid]] != [e for e in pv.below if e in mirror]:
+            return False
+        if [ep[e] for e in s.up_of[vid]] != [e for e in pv.above if e in mirror]:
+            return False
+    return True
 
 
 def _read_under(

@@ -52,7 +52,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional
 
 from .tracegraph import TraceGraph
@@ -457,8 +456,9 @@ def simple_cycle_classes(s: LevelSubgraph) -> set[HomologyClass]:
 
 def maximal_class(s: LevelSubgraph, attractor_class: HomologyClass) -> HomologyClass:
     """The maximal homology class of a non-degenerate level subgraph: among
-    non-trivial cycle classes, maximise M = u/q - w/r (M = w when r = 0) over
-    exact rationals, breaking ties by the vertical number u.
+    non-trivial cycle classes, maximise M = u/q - w/r (M = w when r = 0),
+    breaking ties by the vertical number u.  M is compared exactly, by
+    integers: M * q * |r| = (u*r - w*q) * sign(r), and q > 0.
 
     The classes are `simple_cycle_classes`, the canonical primitive
     lattice points of the level's class polygon: a unit circulation is a
@@ -474,16 +474,14 @@ def maximal_class(s: LevelSubgraph, attractor_class: HomologyClass) -> HomologyC
     q, r = attractor_class
     assert q > 0
 
-    def m_value(c: HomologyClass) -> Fraction:
+    def m_key(c: HomologyClass) -> int:
         u, w = c
         if r == 0:
-            return Fraction(w)
-        return Fraction(u, q) - Fraction(w, r)
+            return w
+        return (u * r - w * q) if r > 0 else (w * q - u * r)
 
-    nonzero = [c for c in simple_cycle_classes(s) if m_value(c) != 0]
-    best_m = max(m_value(c) for c in nonzero)
-    candidates = [c for c in nonzero if m_value(c) == best_m]
-    return max(candidates, key=lambda c: c[0])
+    keyed = [(m_key(c), c[0], c) for c in simple_cycle_classes(s)]
+    return max(k for k in keyed if k[0] != 0)[2]
 
 
 def attractor_profile(levels: list[LevelSubgraph]) -> dict[int, tuple[HomologyClass, ...]]:

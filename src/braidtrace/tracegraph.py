@@ -506,10 +506,13 @@ def _level_of_pair(paths: StrandPathSet, a: int, b: int, z: float) -> int:
     """Level of the crossing of tracks a, b at height z: its x-order position
     in the diagram rotated to the pair's own over-lift, the frame of a point
     of the trace graph."""
-    slots = paths.resting_slots(z)
+    return _level_at(paths.n, paths.resting_slots(z), paths.positions_at(z), a, b, z)
+
+
+def _level_at(n: int, slots, pos, a: int, b: int, z: float) -> int:
+    """`_level_of_pair` read from `resting_slots(z)` and `positions_at(z)`."""
     if slots is not None:
-        return _resting_level(paths.n, slots[a - 1], slots[b - 1])
-    pos = paths.positions_at(z)
+        return _resting_level(n, slots[a - 1], slots[b - 1])
     level = _x_rank(pos, a - 1, b - 1, t_over(pos[a - 1], pos[b - 1]))
     if level is None:
         raise GenericityError(f"level sample at z={z} hits a collinearity for pair ({a},{b})")
@@ -651,20 +654,21 @@ class FiberCrossing:
 
 def singular_t_values(paths: StrandPathSet) -> list[tuple[float, str]]:
     """t values (mod pi) at which the fiber is not generic."""
+    return list(_singular_t_values(paths.n, tuple(dict.fromkeys(paths.word.letters))))
+
+
+@lru_cache(maxsize=1024)
+def _singular_t_values(n: int, letters: tuple) -> tuple:
+    """`singular_t_values` of a word on n strands whose distinct letters,
+    in order of first appearance, are `letters`."""
     out = []
-    pts = paths.placement.points
-    n = paths.n
+    pts = slot_angles(n).points
     for p in range(n):
         for q in range(p + 1, n):
             t0, _ = emb.crossing_time(pts[p], pts[q])
             out.append((t0, f"stationary pair at slots ({p + 1},{q + 1})"))
-    seen = set()
-    for m in range(paths.length):
-        key = paths.word.letters[m]
-        if key in seen:
-            continue
-        seen.add(key)
-        geom = paths.geoms[m]
+    for key in letters:
+        geom = letter_geometry(n, *key)
         for ev in geom.trisecants:
             out.append(
                 (ev.t0, f"triple vertex (letter slot {key[0]}, spectator {ev.spectator_slot})")
@@ -673,7 +677,7 @@ def singular_t_values(paths: StrandPathSet) -> list[tuple[float, str]]:
             out.append(
                 (ex.t0, f"tangency extremum (letter slot {key[0]}, spectator {ex.spectator_slot})")
             )
-    return out
+    return tuple(out)
 
 
 def read_fiber(g: TraceGraph, t: float) -> list[FiberCrossing]:

@@ -24,6 +24,9 @@ per-pair solve, which read each crossing from track positions and
 velocities.
 The t+pi edge pairing of a built graph is checked against the builder's
 earlier pairing of pass visits by their rank along the reversed pair.
+The trace code, the injectivity samples and the singular fiber times are
+checked against the forms that read every level, every pair's track
+positions and every letter afresh.
 """
 
 from __future__ import annotations
@@ -32,13 +35,22 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from braidtrace import equivalence as eq
-from braidtrace.embedding import GenericityError, rot_x, rot_y, t_over, wrap_pm_pi
+from braidtrace import levels as lv
+from braidtrace.embedding import (
+    GenericityError,
+    crossing_time,
+    rot_x,
+    rot_y,
+    t_over,
+    wrap_pm_pi,
+)
 from braidtrace.levels import CYCLE_BUDGET, simple_cycles
 from braidtrace.threebraid import TripletColumn, cyclic_invariant, minimal_rotation
 from braidtrace.tracegraph import (
@@ -46,6 +58,7 @@ from braidtrace.tracegraph import (
     SYMMETRY_TOL,
     FiberCrossing,
     SingularFiberError,
+    _level_of_pair,
     _solve_monotone_theta,
     _x_rank,
     singular_t_values,
@@ -1011,3 +1024,86 @@ def _track_velocity(paths, track: int, z: float) -> tuple[float, float]:
     else:
         return (0.0, 0.0)
     return (vx * scale, vy * scale)
+
+
+# ---------------------------------------------------------------------------
+# References for reads that share work
+
+
+def reference_trace_code(g) -> "eq.TraceCode":
+    """`equivalence.trace_code` as it read codes before levels n - k were
+    taken from levels k: every level subgraph built, and each vertex's visit
+    indices found by searching its circle's edge tuple."""
+    piece1 = []
+    for v in g.vertices.values():
+        trip = []
+        for eid in v.below:
+            e = g.edges[eid]
+            c = g.circles[e.circle]
+            idx = (c.edges.index(eid) + 1) % len(c.edges) + 1
+            trip.append((c.marking, idx, e.level))
+        piece1.append(tuple(trip))
+    levels = [lv.level_subgraph(g, k) for k in range(1, g.n)]
+    att = lv.attractor_profile(levels)
+    mx = lv.maximal_profile(levels)
+    piece2 = tuple(att[k] for k in range(1, g.n))
+    piece3 = tuple(mx[k] for k in range(1, g.n))
+    free = []
+    for c in g.circles.values():
+        e = g.edges[c.edges[0]]
+        if e.tail is None:
+            free.append((c.marking, e.level, (c.dz_total, c.dt_winding)))
+    return eq.TraceCode(tuple(piece1), piece2, piece3, tuple(sorted(free)))
+
+
+def reference_injectivity_samples(g) -> dict[int, list]:
+    """The samples of `checks._sampled_injectivity` as it took them before
+    each height was read once: two `track_position` calls per pair and
+    height, and `_level_of_pair` for the level.  Each level's list sorted."""
+    from braidtrace.checks import INJECTIVITY_SAMPLES
+
+    paths = g.paths
+    vertex_spots = sorted((v.z, v.t) for v in g.vertices.values())
+    spot_z = [vz for vz, _ in vertex_spots]
+    samples: dict[int, list] = {}
+    for (a, b), cid in g.pass_circle.items():
+        for i in range(INJECTIVITY_SAMPLES):
+            z = (i + 0.5) / INJECTIVITY_SAMPLES
+            pa = paths.track_position(a, z)
+            pb = paths.track_position(b, z)
+            t = t_over(pa, pb)
+            near = vertex_spots[bisect_left(spot_z, z - 0.03):bisect_right(spot_z, z + 0.03)]
+            if any(abs(z - vz) < 0.02 and abs(wrap_pm_pi(t - vt)) < 0.2 for vz, vt in near):
+                continue
+            lvl = _level_of_pair(paths, a, b, z)
+            samples.setdefault(lvl, []).append((z, t, (a, b)))
+    for pts in samples.values():
+        pts.sort()
+    return samples
+
+
+def reference_singular_t_values(paths) -> list[tuple[float, str]]:
+    """`tracegraph.singular_t_values` as it read them on every call."""
+    out = []
+    pts = paths.placement.points
+    n = paths.n
+    for p in range(n):
+        for q in range(p + 1, n):
+            t0, _ = crossing_time(pts[p], pts[q])
+            out.append((t0, f"stationary pair at slots ({p + 1},{q + 1})"))
+    seen = set()
+    for m in range(paths.length):
+        key = paths.word.letters[m]
+        if key in seen:
+            continue
+        seen.add(key)
+        geom = paths.geoms[m]
+        for ev in geom.trisecants:
+            out.append(
+                (ev.t0, f"triple vertex (letter slot {key[0]}, spectator {ev.spectator_slot})")
+            )
+        for ex in geom.extrema:
+            out.append(
+                (ex.t0, f"tangency extremum (letter slot {key[0]}, spectator {ex.spectator_slot})")
+            )
+    return out

@@ -8,10 +8,12 @@ from helpers import (
     invariant_screen,
     isotopy_by_full_product,
     pure_word_of_length,
+    reference_trace_code,
     wide_words,
 )
 
 from braidtrace import equivalence as eq
+from braidtrace import levels as lv
 from braidtrace import oracle
 from braidtrace.checks import run_structure_checks
 from braidtrace.serialize import canonical_json, graph_to_document
@@ -125,6 +127,74 @@ class TestTraceCode:
         assert hash(a) == hash(b) and len({a, b}) == 1
 
 
+def code_pieces(tc):
+    return (tc.piece1, tc.piece2, tc.piece3, tc.free_circles)
+
+
+@pytest.fixture()
+def built_levels(monkeypatch):
+    """The levels `level_subgraph` builds, in call order."""
+    calls = []
+    original = lv.level_subgraph
+
+    def counting(g, k):
+        calls.append(k)
+        return original(g, k)
+
+    monkeypatch.setattr(lv, "level_subgraph", counting)
+    return calls
+
+
+class TestMirroredLevels:
+    """`trace_code` takes level n - k's profiles from level k when the t+pi
+    pairing carries one onto the other; the reference builds every level."""
+
+    def test_codes_match_the_all_levels_reference(self):
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            for h in (g, eq.reduce(g), eq.reduce(g, rng=random.Random(7))):
+                assert code_pieces(eq.trace_code(h)) == code_pieces(reference_trace_code(h)), w
+
+    def test_built_b3_graph_builds_only_level_one(self, built_levels):
+        eq.trace_code(build_trace_graph(parse_word("s1 s2^-1 s1 s2 s2", 3)))
+        assert built_levels == [1]
+
+    @pytest.mark.parametrize(
+        "text", ["s1 s2 s1 s2 s1^-1 s2", "s1 s2 s1 s2^-1 s1^-1 s2", "s1^-1 s2^-1 s1 s1 s2^-1 s1"]
+    )
+    def test_asymmetric_reduction_builds_the_mirror_level(self, text, built_levels):
+        # reduction kept vertices whose t+pi partners it removed
+        g = eq.reduce(build_trace_graph(parse_word(text, 3)))
+        tc = eq.trace_code(g)
+        assert built_levels == [1, 2]
+        assert code_pieces(tc) == code_pieces(reference_trace_code(g))
+
+    @pytest.mark.parametrize("change", ["drop", "swap", "dt", "order"])
+    def test_broken_pairing_builds_the_mirror_level(self, change, built_levels):
+        g = build_trace_graph(parse_word("s1 s2^-1 s3 s2 s1", 4))
+        eq.trace_code(g)
+        assert built_levels == [1, 2]
+        e1, e2 = sorted(e for e in g.edges if g.edges[e].level == 1)[:2]
+        if change == "drop":
+            del g.edge_partner[e1]
+        elif change == "swap":
+            g.edge_partner[e1], g.edge_partner[e2] = g.edge_partner[e2], g.edge_partner[e1]
+        elif change == "dt":
+            p = g.edges[g.edge_partner[e1]]
+            g.edges[p.id] = replace(p, dt=p.dt + 1e-7)
+        else:
+            # a level-3 vertex with two level-3 edges above swaps them
+            v = next(
+                v for v in g.vertices.values()
+                if sum(g.edges[e].level == 3 for e in v.above) == 2
+            )
+            g.vertices[v.id] = replace(v, above=v.above[::-1])
+        built_levels.clear()
+        tc = eq.trace_code(g)
+        assert built_levels == [1, 2, 3]
+        assert code_pieces(tc) == code_pieces(reference_trace_code(g))
+
+
 class TestIsotopic:
     def test_reflexive(self):
         for text, n in (("s1", 3), ("s1 s2^-1", 3), ("s2 s3 s3 s2", 4), ("", 2)):
@@ -201,8 +271,9 @@ class TestTrihedra:
             if not eq.is_eliminable(g2, t):
                 continue
             v1, v2 = (g2.vertices[v] for v in t.vertices)
-            m1 = [m for m, _, _ in vertex_triplet(g2, v1)]
-            m2 = [m for m, _, _ in vertex_triplet(g2, v2)]
+            position = eq.circle_positions(g2)
+            m1 = [m for m, _, _ in vertex_triplet(g2, v1, position)]
+            m2 = [m for m, _, _ in vertex_triplet(g2, v2, position)]
             assert m1[1] == m2[1]
             assert {m1[0], m1[2]} == {m2[0], m2[2]}
 

@@ -294,6 +294,29 @@ class TestMaximalClass:
         att = sorted({a.homology for a in lv.right_attractors(s)})[0]
         assert lv.maximal_class(s, att) == brute_maximal_class(s, att)
 
+    def test_integer_order_is_the_rational_order(self, monkeypatch):
+        # maximal_class compares M = u/q - w/r by cross-multiplied integers;
+        # the reference compares Fractions, on class sets with r < 0, r = 0
+        # and r > 0 attractors and with ties in M
+        text, n, k = NONDEG_WITNESS
+        s = lv.level_subgraph(build_trace_graph(parse_word(text, n)), k)
+        rng = random.Random(2713)
+        checked = 0
+        for _ in range(400):
+            att = (rng.randint(1, 5), rng.randint(-5, 5))
+            classes = {(rng.randint(0, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 8))}
+            classes.discard((0, 0))
+            if not classes:
+                continue
+            monkeypatch.setattr(lv, "simple_cycle_classes", lambda s, classes=classes: classes)
+            try:
+                want = brute_maximal_class(s, att, classes)
+            except ValueError:  # every class has M = 0
+                continue
+            assert lv.maximal_class(s, att) == want, (att, classes)
+            checked += 1
+        assert checked > 300
+
     def test_profiles_levels_complete(self):
         g = build_trace_graph(parse_word("(s1 s2^-1)^3", 3))
         levels = [lv.level_subgraph(g, k) for k in (1, 2)]

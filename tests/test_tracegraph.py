@@ -8,7 +8,9 @@ from helpers import (
     full_scan_delta_t,
     golden_words,
     ranked_edge_partner,
+    reference_injectivity_samples,
     reference_read_fiber,
+    reference_singular_t_values,
     scanned_level,
     scanned_symmetry_involution,
     wide_words,
@@ -16,7 +18,7 @@ from helpers import (
 
 from braidtrace import equivalence as eq
 from braidtrace import oracle
-from braidtrace.checks import run_structure_checks
+from braidtrace.checks import _injectivity_samples, run_structure_checks
 from braidtrace.embedding import GenericityError, strand_paths, wrap_pm_pi
 from braidtrace.tracegraph import (
     Marking,
@@ -351,6 +353,16 @@ class TestFibers:
         with pytest.raises(SingularFiberError, match="triple vertex"):
             read_fiber(g, t_bad)
 
+    def test_singular_times_match_the_per_call_read(self, rng):
+        words = golden_words() + wide_words()
+        words += [random_word(n, rng.randint(1, 12), rng) for n in (3, 4, 5) for _ in range(10)]
+        for w in words:
+            paths = build_trace_graph(w).paths
+            got = singular_t_values(paths)
+            assert got == reference_singular_t_values(paths), w
+            got.clear()  # the caller's list is its own
+            assert singular_t_values(paths) == reference_singular_t_values(paths), w
+
     def test_count_changes_at_events(self):
         # +-0 across a triple vertex, +-2 across a tangency extremum
         g = build_trace_graph(parse_word("s1 s2^-1 s2^-1", 3))
@@ -445,6 +457,14 @@ class TestLocalStructure:
         g = build_trace_graph(parse_word(text, n))
         for r in run_structure_checks(g):
             assert r.ok or r.warning, f"{text}: {r.name}: {r.detail}"
+
+    def test_injectivity_samples_match_the_per_pair_read(self):
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            got = _injectivity_samples(g)
+            for pts in got.values():
+                pts.sort()
+            assert got == reference_injectivity_samples(g), w
 
     def test_middle_circle_is_distant_pair(self):
         g = build_trace_graph(parse_word("s2 s3 s3 s2", 4))
