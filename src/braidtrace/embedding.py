@@ -472,7 +472,6 @@ class StrandPathSet:
 
     word: BraidWord
     placement: SlotPlacement
-    delta: float
     occ: tuple[tuple[int, ...], ...]       # occupancy before each letter, plus top
     pos_of: tuple[tuple[int, ...], ...]    # pos_of[m][track-1] = slot position
     geoms: tuple[LetterGeometry, ...]
@@ -492,26 +491,6 @@ class StrandPathSet:
     def movers(self, m: int) -> tuple[int, int]:
         i = self.word.letters[m][0]
         return self.occ[m][i - 1], self.occ[m][i]
-
-    def track_position(self, track: int, z: float) -> tuple[float, float]:
-        l = self.length
-        pts = self.placement.points
-        if l == 0:
-            return pts[track - 1]
-        z = z % 1.0
-        m = min(int(z * l), l - 1)
-        frac = z * l - m
-        pos = self.pos_of[m][track - 1]
-        i = self.word.letters[m][0]
-        if frac < 1 / 3:
-            return pts[pos - 1]
-        if frac >= 2 / 3:
-            return pts[self.pos_of[m + 1][track - 1] - 1]
-        if pos == i:
-            return self.geoms[m].u(3 * frac - 1)
-        if pos == i + 1:
-            return self.geoms[m].v(3 * frac - 1)
-        return pts[pos - 1]
 
     def _slab(self, z: float) -> tuple[int, float]:
         """(m, fraction of slab m) at height z, for a non-empty word."""
@@ -533,7 +512,9 @@ class StrandPathSet:
         return None
 
     def positions_at(self, z: float) -> list[tuple[float, float]]:
-        """Every track's `track_position` at z, indexed by track - 1."""
+        """Every track's point in the disk at height z, indexed by track - 1:
+        its slot point outside the exchange windows, else the letter's
+        exchange arc for the two movers."""
         pts = self.placement.points
         slots = self.resting_slots(z)
         if slots is not None:
@@ -557,4 +538,4 @@ def strand_paths(w: BraidWord) -> StrandPathSet:
             inv[tr - 1] = p
         pos_of.append(tuple(inv))
     geoms = tuple(letter_geometry(w.n, i, s) for i, s in w.letters)
-    return StrandPathSet(w, placement, bump_amplitude(w.n), occ, tuple(pos_of), geoms)
+    return StrandPathSet(w, placement, occ, tuple(pos_of), geoms)

@@ -384,9 +384,10 @@ class NotEliminable(ValueError):
     pass
 
 
-def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int]]:
+def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int, int]]:
     """Check that eliminating t is the inverse of a trihedral move; returns
-    (edge, predecessor, successor) per connecting edge.
+    (edge, predecessor, successor, position on its circle) per connecting
+    edge.  Every edge at t's two vertices is one of these.
 
     A move creates two vertices joined by three short parallel arcs, so a
     removable trihedron must be contractible (any two of its edges cobound
@@ -434,7 +435,7 @@ def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int
         if pred != succ and (ep.tail in (v1, v2) or es.head in (v1, v2)):
             raise NotEliminable("outside edge folds back into the trihedron")
         outside.update((pred, succ))
-        plan.append((eid, pred, succ))
+        plan.append((eid, pred, succ, k))
     incident = set()
     for vid in (v1, v2):
         incident.update(g.vertices[vid].below)
@@ -465,15 +466,14 @@ def eliminate_trihedron(g: TraceGraph, t: Trihedron) -> TraceGraph:
 
 
 def _eliminate_inplace(
-    g: TraceGraph, t: Trihedron, plan: list[tuple[int, int, int]], last_id: int
-) -> tuple[list[tuple[int, int, int]], list[int]]:
+    g: TraceGraph, t: Trihedron, plan: list[tuple[int, int, int, int]], last_id: int
+) -> None:
     """Eliminate trihedron t in place along `plan`, the list that
     `_validate_trihedron` returned for t on g: the caller validates, once.
     `last_id` is the largest edge id of g; the spliced edges take the ids
-    after it, in plan order.  Returns the removed (edge, tail, head) triples
-    and the ids of the spliced edges.  Records are shared with the graph's
-    copies, so changed ones are replaced, never mutated.  The t+pi pairing
-    is left stale for the caller to rebuild.
+    after it, in plan order.  The plan names every edge removed.  Records
+    are shared with the graph's copies, so changed ones are replaced, never
+    mutated.  The t+pi pairing is left stale for the caller to rebuild.
 
     A circle whose only outside edge is pred == succ closes into a
     vertex-free loop, which takes that outside edge's level.  That level
@@ -482,11 +482,9 @@ def _eliminate_inplace(
     remaining circles are eliminable and give opposite loop levels.
     reduce() therefore sets the level of every loop it closes; see there.
     """
-    removed: list[tuple[int, int, int]] = []
-    added: list[int] = []
     v1, v2 = t.vertices
     new_id = last_id
-    for eid, pred, succ in plan:
+    for eid, pred, succ, k in plan:
         e = g.edges[eid]
         c = g.circles[e.circle]
         ep, es = g.edges[pred], g.edges[succ]
@@ -498,11 +496,8 @@ def _eliminate_inplace(
                 ep.dz + e.dz, ep.dt + e.dt, ep.level, c.id, e.pair,
             )
             g.edges[new_id] = merged
-            removed.append((eid, e.tail, e.head))
-            removed.append((pred, ep.tail, ep.head))
             del g.edges[eid], g.edges[pred]
             g.circles[c.id] = _with_edges(c, (new_id,))
-            added.append(new_id)
         else:
             merged = TraceEdge(
                 new_id, ep.tail, es.head,
@@ -519,21 +514,15 @@ def _eliminate_inplace(
                     tuple(new_id if x == old else x for x in v.below),
                     tuple(new_id if x == old else x for x in v.above),
                 )
-            removed.append((eid, e.tail, e.head))
-            removed.append((pred, ep.tail, ep.head))
-            removed.append((succ, es.tail, es.head))
             del g.edges[eid], g.edges[pred], g.edges[succ]
             # keep cyclic order: the merged edge takes pred's position
             ordered = list(c.edges)
-            k = ordered.index(eid)
             K = len(ordered)
             ordered[(k - 1) % K] = new_id
             for x in sorted((k, (k + 1) % K), reverse=True):
                 del ordered[x]
             g.circles[c.id] = _with_edges(c, tuple(ordered))
-            added.append(new_id)
     del g.vertices[v1], g.vertices[v2]
-    return removed, added
 
 
 def _with_edges(c: TraceCircle, edges: tuple[int, ...]) -> TraceCircle:
@@ -547,6 +536,11 @@ def reduce(
     """Eliminate embedded trihedra until none remain.  Deterministic order
     (lexicographically smallest vertex coordinates first) unless an rng is
     given, in which case the elimination order is random.
+
+    Parallel edges are indexed by end pair.  A splice plan holds every edge
+    at its two vertices, so each group it meets goes whole: the plan's
+    groups are dropped, the spliced edges indexed, and `hot` changed in
+    place, as a seeded order shuffles it in its iteration order.
 
     Level of a loop closed by reduction: the level its strand pairs have in
     the canonical placement, where track a rests at slot a
@@ -562,31 +556,20 @@ def reduce(
     original = g.num_vertices
     work = g.copy()
 
-    # incremental index of parallel edges between vertex pairs; the full
-    # graph is scanned once, later only spliced edges update it
     pair_edges: dict[frozenset, set[int]] = {}
     hot: set[frozenset] = set()  # pairs with >= 3 parallel edges
 
-    def register(eid: int):
-        e = work.edges[eid]
-        if e.tail is not None and e.tail != e.head:
-            key = frozenset((e.tail, e.head))
-            group = pair_edges.setdefault(key, set())
-            group.add(eid)
-            if len(group) >= 3:
-                hot.add(key)
+    def index(eids):
+        for eid in eids:
+            e = work.edges[eid]
+            if e.tail is not None and e.tail != e.head:
+                key = frozenset((e.tail, e.head))
+                group = pair_edges.setdefault(key, set())
+                group.add(eid)
+                if len(group) >= 3:
+                    hot.add(key)
 
-    def unregister(eid: int, key: frozenset):
-        group = pair_edges.get(key)
-        if group:
-            group.discard(eid)
-            if len(group) < 3:
-                hot.discard(key)
-            if not group:
-                del pair_edges[key]
-
-    for eid in work.edges:
-        register(eid)
+    index(work.edges)
 
     sort_keys: dict[frozenset, tuple[float, float]] = {}
 
@@ -626,13 +609,14 @@ def reduce(
                 break
         if chosen is None:
             break
-        removed, added = _eliminate_inplace(work, *chosen, last_id)
-        last_id = added[-1]
-        for eid, tail, head in removed:
-            if tail is not None and tail != head:
-                unregister(eid, frozenset((tail, head)))
-        for eid in added:
-            register(eid)
+        t, plan = chosen
+        dead = {frozenset((work.edges[x].tail, work.edges[x].head)) for r in plan for x in r[:3]}
+        _eliminate_inplace(work, t, plan, last_id)
+        for key in dead:
+            del pair_edges[key]
+            hot.discard(key)
+        index(range(last_id + 1, last_id + 4))
+        last_id += 3
     work.reduced_from = original
     if original > work.num_vertices:
         _level_closed_loops(work)

@@ -7,8 +7,9 @@ fiber operations need the original strand paths and are not available on
 loaded graphs.  A circle's marking must name its own component pair, with a
 mixed pair's cyclic index in 1..gcd, as on every built graph: the isotopy
 decision reads a circle's family and shift range from its marking.  A
-document that lacks a key or a record field is refused with a SchemaError
-naming it.
+document that lacks a key or a record field, or whose document, section,
+record list, record or marking has the wrong JSON shape, is refused with
+a SchemaError naming it.
 """
 
 from __future__ import annotations
@@ -182,8 +183,18 @@ _RECORD_FIELDS = {
 }
 
 
+def _expect(value, kind: type, what: str):
+    """value, when it is of kind (dict or list); SchemaError naming it otherwise."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise SchemaError(f"{what}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _require(record: dict, keys, what: str) -> None:
-    """Raise SchemaError naming the first of keys that record lacks."""
+    """Raise SchemaError when record is not an object, or naming the first
+    of keys that it lacks."""
+    _expect(record, dict, what)
     for key in keys:
         if key not in record:
             raise SchemaError(f"{what}: missing field {key!r}")
@@ -192,13 +203,14 @@ def _require(record: dict, keys, what: str) -> None:
 def _records(doc: dict, key: str, kind: str) -> list[dict]:
     """The records of doc[key], each checked to carry every field of its
     kind; a record is named by its id, or by its position without one."""
-    for k, rec in enumerate(doc[key]):
+    for k, rec in enumerate(_expect(doc[key], list, key)):
         _require(rec, ("id",), f"{kind} at position {k}")
         _require(rec, _RECORD_FIELDS[kind], f"{kind} {rec['id']}")
     return doc[key]
 
 
 def document_to_graph(doc: dict) -> TraceGraph:
+    _expect(doc, dict, "document")
     if doc.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}")
     _require(doc, _DOCUMENT_KEYS, "document")
@@ -221,16 +233,18 @@ def document_to_graph(doc: dict) -> TraceGraph:
         )
     circles = {}
     for c in _records(doc, "circles", "circle"):
+        if not isinstance(c["marking"], list) or len(c["marking"]) != 3:
+            raise SchemaError(f"circle {c['id']}: marking needs three entries")
         circles[c["id"]] = TraceCircle(
             c["id"], Marking(*c["marking"]), c["diff"], tuple(c["comp_pair"]),
             tuple(c["edges"]), c["dz_total"], c["dt_winding"],
         )
     partners = [
-        {int(k): v for k, v in doc["symmetry"][kind].items()}
+        {int(k): v for k, v in _expect(doc["symmetry"][kind], dict, f"symmetry {kind}").items()}
         for kind in ("vertices", "edges", "circles")
     ]
     pass_circle = {}
-    for key, cid in doc["pass_circle"].items():
+    for key, cid in _expect(doc["pass_circle"], dict, "pass_circle").items():
         a, b = key.split(",")
         pass_circle[(int(a), int(b))] = cid
     _check_references(vertices, edges, circles, partners, pass_circle)

@@ -502,15 +502,11 @@ def _visit_end(paths: StrandPathSet, l: int, vv: _Visit) -> tuple:
     return (p, m), theta, -wrap_pm_pi(theta - start), -wrap_pm_pi(end - theta)
 
 
-def _level_of_pair(paths: StrandPathSet, a: int, b: int, z: float) -> int:
+def _level_at(n: int, slots, pos, a: int, b: int, z: float) -> int:
     """Level of the crossing of tracks a, b at height z: its x-order position
     in the diagram rotated to the pair's own over-lift, the frame of a point
-    of the trace graph."""
-    return _level_at(paths.n, paths.resting_slots(z), paths.positions_at(z), a, b, z)
-
-
-def _level_at(n: int, slots, pos, a: int, b: int, z: float) -> int:
-    """`_level_of_pair` read from `resting_slots(z)` and `positions_at(z)`."""
+    of the trace graph.  `slots` and `pos` are the paths' `resting_slots(z)`
+    and `positions_at(z)`."""
     if slots is not None:
         return _resting_level(n, slots[a - 1], slots[b - 1])
     level = _x_rank(pos, a - 1, b - 1, t_over(pos[a - 1], pos[b - 1]))
@@ -539,7 +535,7 @@ def _x_rank(points, ia: int, ib: int, t: float) -> Optional[int]:
 
 @lru_cache(maxsize=None)
 def _resting_level(n: int, slot_a: int, slot_b: int) -> int:
-    """`_level_of_pair` of tracks resting at slots slot_a, slot_b in the
+    """`_level_at` of tracks resting at slots slot_a, slot_b in the
     pair's own over-lift frame, where every other track rests at one of
     the other slots."""
     pts = slot_angles(n).points

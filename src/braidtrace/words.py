@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 
@@ -203,9 +202,8 @@ def linking_number(w: BraidWord, i: int, j: int) -> int:
         if {cs.component_of[a - 1], cs.component_of[b - 1]} == {i, j}:
             total += sign
         occ[k - 1], occ[k] = occ[k], occ[k - 1]
-    half = Fraction(total, 2)
-    assert half.denominator == 1, "mixed crossing sum of distinct closed components must be even"
-    return int(half)
+    assert total % 2 == 0, "mixed crossing sum of distinct closed components must be even"
+    return total // 2
 
 
 def concatenate(a: BraidWord, b: BraidWord) -> BraidWord:

@@ -26,7 +26,8 @@ The t+pi edge pairing of a built graph is checked against the builder's
 earlier pairing of pass visits by their rank along the reversed pair.
 The trace code, the injectivity samples and the singular fiber times are
 checked against the forms that read every level, every pair's track
-positions and every letter afresh.
+positions and every letter afresh.  Reduction is checked against its
+earlier form, which took each removed edge out of the pair index in turn.
 """
 
 from __future__ import annotations
@@ -58,9 +59,12 @@ from braidtrace.tracegraph import (
     SYMMETRY_TOL,
     FiberCrossing,
     SingularFiberError,
-    _level_of_pair,
+    TraceEdge,
+    TraceVertex,
+    _level_at,
     _solve_monotone_theta,
     _x_rank,
+    pair_partners,
     singular_t_values,
 )
 from braidtrace.words import (
@@ -893,14 +897,42 @@ def _mover_spectator_delta_t(geom, mover: str, slot_pt, s1: float, s2: float) ->
     return -wrap_pm_pi(th2 - th1)
 
 
+def track_position(paths, track: int, z: float) -> tuple[float, float]:
+    """One track's point in the disk at height z, from its slab alone; the
+    reference for `StrandPathSet.positions_at`."""
+    l = paths.length
+    pts = paths.placement.points
+    if l == 0:
+        return pts[track - 1]
+    z = z % 1.0
+    m = min(int(z * l), l - 1)
+    frac = z * l - m
+    pos = paths.pos_of[m][track - 1]
+    i = paths.word.letters[m][0]
+    if frac < 1 / 3:
+        return pts[pos - 1]
+    if frac >= 2 / 3:
+        return pts[paths.pos_of[m + 1][track - 1] - 1]
+    if pos == i:
+        return paths.geoms[m].u(3 * frac - 1)
+    if pos == i + 1:
+        return paths.geoms[m].v(3 * frac - 1)
+    return pts[pos - 1]
+
+
+def _level_of_pair(paths, a: int, b: int, z: float) -> int:
+    """`tracegraph._level_at` of tracks a, b, reading the paths at height z."""
+    return _level_at(paths.n, paths.resting_slots(z), paths.positions_at(z), a, b, z)
+
+
 def scanned_level(paths, a: int, b: int, z: float) -> int:
     """The level of the crossing of tracks a, b at height z in the pair's
     over-lift frame, scanning every track's position."""
-    pa, pb = paths.track_position(a, z), paths.track_position(b, z)
+    pa, pb = track_position(paths, a, z), track_position(paths, b, z)
     t = t_over(pa, pb)
     xa = rot_x(pa, t)
     others = (tr for tr in range(1, paths.n + 1) if tr not in (a, b))
-    return 1 + sum(rot_x(paths.track_position(tr, z), t) < xa for tr in others)
+    return 1 + sum(rot_x(track_position(paths, tr, z), t) < xa for tr in others)
 
 
 def reference_fmt(value) -> str:
@@ -981,8 +1013,8 @@ def reference_read_fiber(g, t: float):
 
 def _reference_crossing_at(g, cs, a: int, b: int, z: float, t: float) -> FiberCrossing:
     paths = g.paths
-    pa = paths.track_position(a, z)
-    pb = paths.track_position(b, z)
+    pa = track_position(paths, a, z)
+    pb = track_position(paths, b, z)
     over, under = (a, b) if rot_y(pa, t) > rot_y(pb, t) else (b, a)
     pos = paths.positions_at(z)
     level = _x_rank(pos, a - 1, b - 1, t)
@@ -1069,8 +1101,8 @@ def reference_injectivity_samples(g) -> dict[int, list]:
     for (a, b), cid in g.pass_circle.items():
         for i in range(INJECTIVITY_SAMPLES):
             z = (i + 0.5) / INJECTIVITY_SAMPLES
-            pa = paths.track_position(a, z)
-            pb = paths.track_position(b, z)
+            pa = track_position(paths, a, z)
+            pb = track_position(paths, b, z)
             t = t_over(pa, pb)
             near = vertex_spots[bisect_left(spot_z, z - 0.03):bisect_right(spot_z, z + 0.03)]
             if any(abs(z - vz) < 0.02 and abs(wrap_pm_pi(t - vt)) < 0.2 for vz, vt in near):
@@ -1107,3 +1139,152 @@ def reference_singular_t_values(paths) -> list[tuple[float, str]]:
                 (ex.t0, f"tangency extremum (letter slot {key[0]}, spectator {ex.spectator_slot})")
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference for reduction
+
+
+def reference_reduce(g, rng=None):
+    """`equivalence.reduce` as it kept its pair index before the splice
+    plan became the only record of a splice: `_eliminate_inplace` returned
+    the removed (edge, tail, head) triples and the spliced ids, and each
+    removed edge was taken out of its group one at a time (`unregister`).
+    Plan rows carry a fourth field, the edge's position, which this copy
+    ignores: it searches the circle's edge tuple instead."""
+    original = g.num_vertices
+    work = g.copy()
+
+    # incremental index of parallel edges between vertex pairs; the full
+    # graph is scanned once, later only spliced edges update it
+    pair_edges: dict[frozenset, set[int]] = {}
+    hot: set[frozenset] = set()  # pairs with >= 3 parallel edges
+
+    def register(eid: int):
+        e = work.edges[eid]
+        if e.tail is not None and e.tail != e.head:
+            key = frozenset((e.tail, e.head))
+            group = pair_edges.setdefault(key, set())
+            group.add(eid)
+            if len(group) >= 3:
+                hot.add(key)
+
+    def unregister(eid: int, key: frozenset):
+        group = pair_edges.get(key)
+        if group:
+            group.discard(eid)
+            if len(group) < 3:
+                hot.discard(key)
+            if not group:
+                del pair_edges[key]
+
+    for eid in work.edges:
+        register(eid)
+
+    sort_keys: dict[frozenset, tuple[float, float]] = {}
+
+    def pair_key(k: frozenset):
+        # vertices never move, so a pair's key is computed once
+        if k not in sort_keys:
+            sort_keys[k] = min(
+                (round(work.vertices[v].z, 9), round(work.vertices[v].t, 9)) for v in k
+            )
+        return sort_keys[k]
+
+    def eliminable_in(key: frozenset):
+        """The first eliminable trihedron on the pair, with its splice plan."""
+        v1, v2 = sorted(key)
+        for triple in itertools.combinations(sorted(pair_edges[key]), 3):
+            t = eq.Trihedron((v1, v2), triple)
+            try:
+                return t, eq._validate_trihedron(work, t)
+            except eq.NotEliminable:
+                pass
+        return None
+
+    # a splice adds one edge on each of its three distinct circles and
+    # removes none of them, so afterwards the largest id is its last one
+    last_id = max(work.edges, default=-1)
+
+    while True:
+        candidates = list(hot)
+        if rng is None:
+            candidates.sort(key=pair_key)
+        else:
+            rng.shuffle(candidates)
+        chosen = None
+        for key in candidates:
+            chosen = eliminable_in(key)
+            if chosen is not None:
+                break
+        if chosen is None:
+            break
+        removed, added = _reference_eliminate_inplace(work, *chosen, last_id)
+        last_id = added[-1]
+        for eid, tail, head in removed:
+            if tail is not None and tail != head:
+                unregister(eid, frozenset((tail, head)))
+        for eid in added:
+            register(eid)
+    work.reduced_from = original
+    if original > work.num_vertices:
+        eq._level_closed_loops(work)
+    pair_partners(work)
+    return work
+
+
+def _reference_eliminate_inplace(g, t, plan, last_id: int):
+    """The splice of `reference_reduce`: `_eliminate_inplace` as it returned
+    the removed (edge, tail, head) triples and the ids of the spliced edges."""
+    removed: list[tuple[int, int, int]] = []
+    added: list[int] = []
+    v1, v2 = t.vertices
+    new_id = last_id
+    for eid, pred, succ, _ in plan:
+        e = g.edges[eid]
+        c = g.circles[e.circle]
+        ep, es = g.edges[pred], g.edges[succ]
+        new_id += 1
+        if pred == succ:
+            # the circle had only this edge outside; it closes into a loop
+            merged = TraceEdge(
+                new_id, None, None,
+                ep.dz + e.dz, ep.dt + e.dt, ep.level, c.id, e.pair,
+            )
+            g.edges[new_id] = merged
+            removed.append((eid, e.tail, e.head))
+            removed.append((pred, ep.tail, ep.head))
+            del g.edges[eid], g.edges[pred]
+            g.circles[c.id] = eq._with_edges(c, (new_id,))
+            added.append(new_id)
+        else:
+            merged = TraceEdge(
+                new_id, ep.tail, es.head,
+                ep.dz + e.dz + es.dz, ep.dt + e.dt + es.dt,
+                ep.level, c.id, e.pair,
+                tail_pair=ep.tail_pair, head_pair=es.head_pair,
+            )
+            g.edges[new_id] = merged
+            # rewire rotation data at the surviving endpoints
+            for vid, old in ((ep.tail, pred), (es.head, succ)):
+                v = g.vertices[vid]
+                g.vertices[vid] = TraceVertex(
+                    v.id, v.z, v.t, v.strands, v.letter, v.spectator_slot,
+                    tuple(new_id if x == old else x for x in v.below),
+                    tuple(new_id if x == old else x for x in v.above),
+                )
+            removed.append((eid, e.tail, e.head))
+            removed.append((pred, ep.tail, ep.head))
+            removed.append((succ, es.tail, es.head))
+            del g.edges[eid], g.edges[pred], g.edges[succ]
+            # keep cyclic order: the merged edge takes pred's position
+            ordered = list(c.edges)
+            k = ordered.index(eid)
+            K = len(ordered)
+            ordered[(k - 1) % K] = new_id
+            for x in sorted((k, (k + 1) % K), reverse=True):
+                del ordered[x]
+            g.circles[c.id] = eq._with_edges(c, tuple(ordered))
+            added.append(new_id)
+    del g.vertices[v1], g.vertices[v2]
+    return removed, added

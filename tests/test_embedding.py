@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from helpers import moving_pair_delta_t
+from helpers import moving_pair_delta_t, track_position
 
 from braidtrace import embedding as emb
 from braidtrace.embedding import (
@@ -98,12 +98,12 @@ class TestStrandPaths:
         pts = ps.placement.points
         for z in (0.1, 0.9):
             for tr in (1, 2, 3):
-                assert ps.track_position(tr, z) in pts
+                assert track_position(ps, tr, z) in pts
 
     def test_exchange_swaps_slots(self):
         ps = strand_paths(parse_word("s1", 3))
-        assert ps.track_position(1, 0.9) == ps.placement.points[1]
-        assert ps.track_position(2, 0.9) == ps.placement.points[0]
+        assert track_position(ps, 1, 0.9) == ps.placement.points[1]
+        assert track_position(ps, 2, 0.9) == ps.placement.points[0]
 
     def test_empty_word_all_vertical(self):
         ps = strand_paths(BraidWord(3))

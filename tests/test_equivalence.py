@@ -8,6 +8,7 @@ from helpers import (
     invariant_screen,
     isotopy_by_full_product,
     pure_word_of_length,
+    reference_reduce,
     reference_trace_code,
     wide_words,
 )
@@ -366,6 +367,27 @@ class TestReduce:
             r = eq.reduce(g)
             assert len(plans) == (g.num_vertices - r.num_vertices) // 2, w
             eliminated += len(plans)
+        assert eliminated
+
+    def test_reduce_matches_reference(self):
+        # reduce drops whole pair groups named by the splice plan; the
+        # reference takes each removed edge out of its group in turn
+        rng = random.Random(1818)
+        words = [random_word(rng.randint(4, 6), rng.randint(4, 10), rng) for _ in range(40)]
+        for _ in range(20):
+            w = random_word(3, rng.randint(4, 24), rng)
+            words.append(free_reduce(power(w, pure_power_exponent(w))))
+        words.append(pure_word_of_length(200, 200_000))  # criterion 10's l = 200
+        eliminated = 0
+        for w in words:
+            g = build_trace_graph(w)
+            for seed in (None, 1, 2, 3):
+                rngs = (None, None) if seed is None else (random.Random(seed), random.Random(seed))
+                got, want = eq.reduce(g, rng=rngs[0]), reference_reduce(g, rng=rngs[1])
+                assert canonical_json(graph_to_document(got)) == canonical_json(
+                    graph_to_document(want)
+                ), (w, seed)
+                eliminated += g.num_vertices - got.num_vertices
         assert eliminated
 
     def test_already_reduced_fixpoint(self):

@@ -142,6 +142,28 @@ class TestDocuments:
         with pytest.raises(SchemaError, match=f"{record} at position 1: missing field 'id'"):
             document_to_graph(doc)
 
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda doc: [doc], "document: expected an object, got list"),
+            (lambda doc: {**doc, "word": "s1"}, "word: expected an object, got str"),
+            (lambda doc: {**doc, "symmetry": []}, "symmetry: expected an object, got list"),
+            (lambda doc: {**doc, "vertices": doc["vertices"][:1] + ["v"]},
+             "vertex at position 1: expected an object, got str"),
+            (lambda doc: {**doc, "edges": [7] + doc["edges"]},
+             "edge at position 0: expected an object, got int"),
+            (lambda doc: {**doc, "circles": [None]}, "circle at position 0: expected an object"),
+            (lambda doc: {**doc, "circles": {}}, "circles: expected an array, got dict"),
+            (lambda doc: {**doc, "circles": [{**doc["circles"][0], "marking": [1, 1]}]},
+             "circle 0: marking needs three entries"),
+        ],
+        ids=["document", "word", "symmetry", "vertex", "edge", "circle", "circles", "marking"],
+    )
+    def test_malformed_document_refused(self, corrupt, message):
+        doc = corrupt(graph_to_document(build_trace_graph(parse_word("s1", 3))))
+        with pytest.raises(SchemaError, match=message):
+            document_to_graph(doc)
+
     def test_marking_names_its_components(self):
         # B3 s1 has components of lengths 2 and 1; swap i and j in the
         # marking of one mixed circle, leaving its comp_pair
@@ -368,7 +390,8 @@ def test_cli_loads_no_numerics_library():
     code = (
         "import sys\n"
         "import braidtrace.checks, braidtrace.cli, braidtrace.equivalence, braidtrace.threebraid\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy', 'fractions', 'decimal')))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 from helpers import (
+    _level_of_pair,
     full_scan_delta_t,
     golden_words,
     ranked_edge_partner,
@@ -13,6 +14,7 @@ from helpers import (
     reference_singular_t_values,
     scanned_level,
     scanned_symmetry_involution,
+    track_position,
     wide_words,
 )
 
@@ -23,7 +25,6 @@ from braidtrace.embedding import GenericityError, strand_paths, wrap_pm_pi
 from braidtrace.tracegraph import (
     Marking,
     SingularFiberError,
-    _level_of_pair,
     build_trace_graph,
     read_fiber,
     read_word_at,
@@ -213,7 +214,7 @@ class TestBuilderFloats:
         paths = strand_paths(w)
         for k in range(97):
             z = k / 96
-            assert paths.positions_at(z) == [paths.track_position(tr, z) for tr in range(1, 5)]
+            assert paths.positions_at(z) == [track_position(paths, tr, z) for tr in range(1, 5)]
 
 
 class TestLevels:
