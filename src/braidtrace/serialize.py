@@ -7,15 +7,16 @@ fiber operations need the original strand paths and are not available on
 loaded graphs.  A circle's marking must name its own component pair, with a
 mixed pair's cyclic index in 1..gcd, as on every built graph: the isotopy
 decision reads a circle's family and shift range from its marking.  A
-document that lacks a key or a record field, or whose document, section,
-record list, record or marking has the wrong JSON shape, is refused with
-a SchemaError naming it.
+document that lacks a key or a record field, whose document, section,
+record list or record has the wrong JSON shape, or whose field value or
+map key has the wrong JSON type, is refused with a SchemaError naming it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 from . import __version__ as TOOL_VERSION
 from .embedding import EVENT_SEP, GENERICITY_MARGIN, ROOT_TOL
@@ -173,14 +174,26 @@ def graph_to_document(g: TraceGraph) -> dict:
 
 
 _DOCUMENT_KEYS = ("word", "vertices", "edges", "circles", "symmetry", "pass_circle")
+# each record field's JSON type: an integer (never a boolean), a number, an
+# integer array, or one of a fixed length ("ints:3"); "?" admits null
 _RECORD_FIELDS = {
-    "vertex": ("id", "z", "t", "strands", "letter", "spectator_slot", "below", "above"),
-    "edge": (
-        "id", "tail", "head", "dz", "dt", "level", "circle",
-        "over_under", "tail_pair", "head_pair",
-    ),
-    "circle": ("id", "marking", "diff", "comp_pair", "edges", "dz_total", "dt_winding"),
+    "vertex": {
+        "id": "int", "z": "num", "t": "num", "strands": "ints:3", "letter": "int",
+        "spectator_slot": "int", "below": "ints", "above": "ints",
+    },
+    "edge": {
+        "id": "int", "tail": "int?", "head": "int?", "dz": "num", "dt": "num",
+        "level": "int", "circle": "int", "over_under": "ints:2",
+        "tail_pair": "ints:2?", "head_pair": "ints:2?",
+    },
+    "circle": {
+        "id": "int", "marking": "ints:3", "diff": "int", "comp_pair": "ints:2",
+        "edges": "ints", "dz_total": "int", "dt_winding": "int",
+    },
 }
+_COUNT_WORDS = {"2": "two", "3": "three"}
+_ID_KEY = re.compile(r"([0-9]+)")
+_PAIR_KEY = re.compile(r"([0-9]+),([0-9]+)")
 
 
 def _expect(value, kind: type, what: str):
@@ -200,13 +213,51 @@ def _require(record: dict, keys, what: str) -> None:
             raise SchemaError(f"{what}: missing field {key!r}")
 
 
+def _check_field(value, spec: str, what: str, field: str) -> None:
+    """Raise SchemaError naming what's field unless value has the JSON type
+    of spec (see `_RECORD_FIELDS`)."""
+    if value is None and spec.endswith("?"):
+        return
+    kind, _, size = spec.rstrip("?").partition(":")
+    null = " or null" if spec.endswith("?") else ""
+    if kind == "int" and type(value) is not int:
+        raise SchemaError(f"{what}: {field} must be an integer{null}")
+    if kind == "num" and type(value) not in (int, float):
+        raise SchemaError(f"{what}: {field} must be a number{null}")
+    if kind == "ints":
+        ints = type(value) is list and all(type(x) is int for x in value)
+        if size and not (ints and len(value) == int(size)):
+            count = _COUNT_WORDS[size]
+            raise SchemaError(f"{what}: {field} needs {count} entries, all integers{null}")
+        if not ints:
+            raise SchemaError(f"{what}: {field} must be an array of integers{null}")
+
+
 def _records(doc: dict, key: str, kind: str) -> list[dict]:
     """The records of doc[key], each checked to carry every field of its
-    kind; a record is named by its id, or by its position without one."""
+    kind with its JSON type; a record is named by its id, or by its
+    position without one."""
     for k, rec in enumerate(_expect(doc[key], list, key)):
         _require(rec, ("id",), f"{kind} at position {k}")
         _require(rec, _RECORD_FIELDS[kind], f"{kind} {rec['id']}")
+        for field, spec in _RECORD_FIELDS[kind].items():
+            _check_field(rec[field], spec, f"{kind} {rec['id']}", field)
     return doc[key]
+
+
+def _int_map(value, what: str, key_pattern: re.Pattern) -> dict:
+    """The object value as {key: integer}, each key read as the int, or the
+    tuple of ints, of key_pattern's digit groups; SchemaError naming what on
+    a key that does not match or a value that is not an integer."""
+    out = {}
+    for key, v in _expect(value, dict, what).items():
+        m = key_pattern.fullmatch(key)
+        if m is None:
+            raise SchemaError(f"{what}: key {key!r} does not parse")
+        _check_field(v, "int", what, f"value of {key!r}")
+        parts = tuple(map(int, m.groups()))
+        out[parts if len(parts) > 1 else parts[0]] = v
+    return out
 
 
 def document_to_graph(doc: dict) -> TraceGraph:
@@ -216,6 +267,10 @@ def document_to_graph(doc: dict) -> TraceGraph:
     _require(doc, _DOCUMENT_KEYS, "document")
     _require(doc["word"], ("n", "letters"), "word")
     _require(doc["symmetry"], ("vertices", "edges", "circles"), "symmetry")
+    _check_field(doc["word"]["n"], "int", "word", "n")
+    for k, letter in enumerate(_expect(doc["word"]["letters"], list, "word letters")):
+        _check_field(letter, "ints:2", "word", f"letter {k}")
+    _check_field(doc.get("reduced_from"), "int?", "document", "reduced_from")
     word = BraidWord(doc["word"]["n"], tuple((i, s) for i, s in doc["word"]["letters"]))
     vertices = {}
     for v in _records(doc, "vertices", "vertex"):
@@ -233,20 +288,15 @@ def document_to_graph(doc: dict) -> TraceGraph:
         )
     circles = {}
     for c in _records(doc, "circles", "circle"):
-        if not isinstance(c["marking"], list) or len(c["marking"]) != 3:
-            raise SchemaError(f"circle {c['id']}: marking needs three entries")
         circles[c["id"]] = TraceCircle(
             c["id"], Marking(*c["marking"]), c["diff"], tuple(c["comp_pair"]),
             tuple(c["edges"]), c["dz_total"], c["dt_winding"],
         )
     partners = [
-        {int(k): v for k, v in _expect(doc["symmetry"][kind], dict, f"symmetry {kind}").items()}
+        _int_map(doc["symmetry"][kind], f"symmetry {kind}", _ID_KEY)
         for kind in ("vertices", "edges", "circles")
     ]
-    pass_circle = {}
-    for key, cid in _expect(doc["pass_circle"], dict, "pass_circle").items():
-        a, b = key.split(",")
-        pass_circle[(int(a), int(b))] = cid
+    pass_circle = _int_map(doc["pass_circle"], "pass_circle", _PAIR_KEY)
     _check_references(vertices, edges, circles, partners, pass_circle)
     cycles = cycle_structure(word)
     for c in circles.values():

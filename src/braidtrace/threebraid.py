@@ -95,7 +95,10 @@ def cyclic_invariant(w: BraidWord, pair: tuple[int, int] = (1, 2)) -> TripletCol
     return _column(w, pair, {1: 1, 2: 2, 3: 3})
 
 
-@lru_cache(maxsize=4096)
+# One decision reads two reduced graphs, b's power once and a's power under
+# up to six relabelings; repeats across decisions are rare, so two entries
+# keep the hits without holding thousands of graphs.
+@lru_cache(maxsize=2)
 def _reduced_graph_cached(letters: tuple[tuple[int, int], ...]):
     g = build_trace_graph(BraidWord(3, letters))
     return reduce_graph(g)

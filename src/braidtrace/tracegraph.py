@@ -187,16 +187,6 @@ class TraceGraph:
         )
 
 
-def component_indexing(cs: CycleStructure) -> dict[int, int]:
-    """strand -> 0-based position along its component, starting at the
-    smallest strand and following the closure orientation."""
-    idx = {}
-    for cyc in cs.cycles:
-        for a, s in enumerate(cyc):
-            idx[s] = a
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Construction
 
@@ -215,7 +205,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
     paths = strand_paths(w)
     cs = cycle_structure(w)
     perm = permutation(w)
-    idx_in_comp = component_indexing(cs)
+    markings = _pair_markings(paths, cs)
     l = len(w)
     n = w.n
 
@@ -273,13 +263,8 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
                 visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair, vv.m, vv.level))
         circle_visits[cid] = visits
 
-        comp_pair = (cs.component_of[start[0] - 1], cs.component_of[start[1] - 1])
-        if comp_pair[0] == comp_pair[1]:
-            n_i = cs.lengths[comp_pair[0] - 1]
-            diff = (idx_in_comp[start[0]] - idx_in_comp[start[1]]) % n_i
-        else:
-            g = math.gcd(cs.lengths[comp_pair[0] - 1], cs.lengths[comp_pair[1] - 1])
-            diff = (idx_in_comp[start[0]] - idx_in_comp[start[1]]) % g
+        diff, marking = markings[start]
+        comp_pair = (marking.i, marking.j)
 
         orbit_len = len(orbit)
         total = float(orbit_len)
@@ -326,8 +311,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             winding = _round_winding(dt_sum, f"circle of pair {start}")
 
         circles[cid] = TraceCircle(
-            cid, Marking(comp_pair[0], comp_pair[1], 0), diff, comp_pair,
-            tuple(edge_ids), orbit_len, winding,
+            cid, marking, diff, comp_pair, tuple(edge_ids), orbit_len, winding
         )
         cid += 1
 
@@ -353,8 +337,52 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
         paths=paths,
     )
     pair_partners(graph)
-    _assign_markings(graph)
     return graph
+
+
+def _pair_markings(paths: StrandPathSet, cs: CycleStructure) -> dict:
+    """Ordered strand pair (a, b) -> (raw difference, marking (i,j)[k]) of
+    its trace circle, with i, j the components of a and b.
+
+    The raw difference is idx(a) - idx(b), idx being a strand's position
+    along its component from the smallest strand in closure order, taken
+    mod the component's length when i == j and mod gcd of the two lengths
+    when i != j.  The closure permutation moves both strands one step along
+    their components, so the difference is constant along an orbit: any
+    pair of a circle gives the circle's difference.
+
+    A same-component circle is marked by its difference.  For a mixed
+    family {i, j}, i < j, the cyclic shift is anchored so that the family's
+    first circle met at the t=0 fiber (scanning z upward) gets [1].  That
+    fiber is the word's diagram, one crossing of its two movers per letter,
+    so the anchor is the first letter whose movers lie in components i and
+    j; its (j, i) circle carries the negated difference.  A family that no
+    letter meets takes the least difference of its (i, j) circles."""
+    idx = {s: a for cyc in cs.cycles for a, s in enumerate(cyc)}
+    comp, lengths = cs.component_of, cs.lengths
+    diffs = {}
+    for a in range(1, paths.n + 1):
+        for b in range(1, paths.n + 1):
+            if a != b:
+                i, j = comp[a - 1], comp[b - 1]
+                mod = lengths[i - 1] if i == j else math.gcd(lengths[i - 1], lengths[j - 1])
+                diffs[a, b] = (i, j, (idx[a] - idx[b]) % mod, mod)
+    shift = {}
+    for m in range(paths.length):
+        i, j, d, _ = diffs[paths.movers(m)]
+        if i != j:
+            shift.setdefault((min(i, j), max(i, j)), d if i < j else -d)
+    for i, j, d, _ in sorted(diffs.values()):  # a family's least (i, j) difference first
+        if i < j:
+            shift.setdefault((i, j), d)
+    out = {}
+    for pair, (i, j, d, mod) in diffs.items():
+        if i == j:
+            k = d
+        else:
+            k = ((d if i < j else -d) - shift[min(i, j), max(i, j)]) % mod + 1
+        out[pair] = (d, Marking(i, j, k))
+    return out
 
 
 def _circle_visits(g: TraceGraph, c: TraceCircle) -> list[int]:
@@ -543,56 +571,6 @@ def _resting_level(n: int, slot_a: int, slot_b: int) -> int:
     if level is None:
         raise GenericityError(f"level sample hits a collinearity for slots ({slot_a},{slot_b})")
     return level
-
-
-def _assign_markings(graph: TraceGraph) -> None:
-    """Default marking representatives.
-
-    Same-component circles carry their well-defined difference index.  For a
-    mixed family the cyclic shift is anchored so that the family's first
-    circle met at the t=0 fiber (scanning z upward) gets [1]; families that
-    never meet that fiber fall back to the smallest raw difference.
-
-    The t=0 fiber is the diagram of the word, one crossing per letter, of
-    its two movers, in letter order; so the anchor is read from the
-    letters: the first letter whose movers lie in the family's two
-    components.  Either circle of the movers gives the same shift, since
-    the index difference of a pair is constant mod gcd along its orbit and
-    the partner circle's is its negative.
-    """
-    cs = graph.cycles
-    by_family: dict[frozenset, list[TraceCircle]] = {}
-    for c in graph.circles.values():
-        i, j = c.comp_pair
-        if i == j:
-            graph.circles[c.id] = replace(c, marking=Marking(i, j, c.diff))
-        else:
-            by_family.setdefault(frozenset((i, j)), []).append(c)
-    if not by_family:
-        return
-
-    first_seen: dict[frozenset, TraceCircle] = {}
-    for m in range(graph.paths.length):
-        c = graph.circles[graph.pass_circle[graph.paths.movers(m)]]
-        fam = frozenset(c.comp_pair)
-        if len(fam) == 2 and fam not in first_seen:
-            first_seen[fam] = c
-    for fam, members in by_family.items():
-        i, j = sorted(fam)
-        g = math.gcd(cs.lengths[i - 1], cs.lengths[j - 1])
-        anchor = first_seen.get(fam)
-        if anchor is not None:
-            shift = anchor.diff if anchor.comp_pair == (i, j) else (-anchor.diff) % g
-        else:
-            shift = min(c.diff for c in members if c.comp_pair == (i, j))
-        for c in members:
-            if c.comp_pair == (i, j):
-                k = ((c.diff - shift) % g) + 1
-            else:
-                k = ((-c.diff - shift) % g) + 1
-            graph.circles[c.id] = replace(
-                c, marking=Marking(c.comp_pair[0], c.comp_pair[1], k)
-            )
 
 
 # ---------------------------------------------------------------------------

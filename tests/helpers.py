@@ -58,6 +58,7 @@ from braidtrace.tracegraph import (
     FIBER_TOL,
     SYMMETRY_TOL,
     FiberCrossing,
+    Marking,
     SingularFiberError,
     TraceEdge,
     TraceVertex,
@@ -260,19 +261,22 @@ def burau_conjugator_search(a: BraidWord, b: BraidWord, max_len: int = 8) -> Opt
 
 
 def _arc_adjacency(s):
+    """Directed arcs of the level subgraph s: per vertex (edge, other end,
+    signed dz, signed dt), plus its vertex-free loops and self-loops."""
     g = s.graph
     adj = {v: [] for v in s.vertices}
     loops = []
     selfloops = []
     for e in s.edges:
-        te, he = g.edges[e].tail, g.edges[e].head
+        ed = g.edges[e]
+        te, he = ed.tail, ed.head
         if te is None:
             loops.append(e)
         elif te == he:
             selfloops.append(e)
         else:
-            adj[te].append((e, he, 1))
-            adj[he].append((e, te, -1))
+            adj[te].append((e, he, ed.dz, ed.dt))
+            adj[he].append((e, te, -ed.dz, -ed.dt))
     return adj, loops, selfloops
 
 
@@ -281,7 +285,14 @@ def _cls(g, edges):
     summed in floating point from the edges' lift displacements: the
     reference for the package's integer lift-offset classes."""
     u = sum(d * g.edges[e].dz for e, d in edges)
-    w = -sum(d * g.edges[e].dt for e, d in edges) / TWO_PI
+    t = sum(d * g.edges[e].dt for e, d in edges)
+    return _oriented_class(u, t)
+
+
+def _oriented_class(u: float, dt: float) -> tuple[int, int]:
+    """The class (dz, -dt / 2pi) of a cycle with displacement sums u and dt,
+    rounded and oriented so that dz > 0, or dz == 0 and the second entry >= 0."""
+    w = -dt / TWO_PI
     ru, rw = round(u), round(w)
     assert abs(u - ru) < 1e-6 and abs(w - rw) < 1e-6
     if ru < 0 or (ru == 0 and rw < 0):
@@ -292,7 +303,12 @@ def _cls(g, edges):
 def johnson_cycle_classes(s) -> set[tuple[int, int]]:
     """Oriented homology classes of all simple cycles, via Johnson's blocked
     search over directed arcs (each undirected cycle is found in both
-    directions; classes orient canonically so the set is unaffected)."""
+    directions; classes orient canonically so the set is unaffected).
+
+    Each call carries the dz and dt sums of its path from the start, so a
+    cycle's class costs O(1).  The sums add the path's terms left to right,
+    as `sum` in `_cls` does before Python 3.12 (later versions compensate
+    rounding), so there the floats are the same."""
     g = s.graph
     adj, loops, selfloops = _arc_adjacency(s)
     classes = {_cls(g, [(e, 1)]) for e in loops}
@@ -301,9 +317,9 @@ def johnson_cycle_classes(s) -> set[tuple[int, int]]:
     vertices = sorted(adj)
     for idx, start in enumerate(vertices):
         allowed = set(vertices[idx:])
+        arcs = {v: [a for a in adj[v] if a[1] in allowed] for v in allowed}
         blocked = {v: False for v in allowed}
         bsets = {v: set() for v in allowed}
-        path = []
 
         def unblock(v):
             blocked[v] = False
@@ -312,36 +328,29 @@ def johnson_cycle_classes(s) -> set[tuple[int, int]]:
                 if blocked[w]:
                     unblock(w)
 
-        def circuit(v) -> bool:
+        def circuit(v, u, t, first=None) -> bool:
+            """Search from v with path sums u, t; first is the path's edge
+            when v is the start's neighbour on it."""
             found = False
             blocked[v] = True
-            for e, w, d in adj[v]:
-                if w not in allowed:
-                    continue
+            for e, w, dz, dt in arcs[v]:
                 if w == start:
-                    if len(path) == 1 and path[0][0] == e:
+                    if e == first:
                         continue  # same edge back and forth is not a cycle
-                    classes.add(_cls(g, path + [(e, d)]))
+                    classes.add(_oriented_class(u + dz, t + dt))
                     found = True
                 elif not blocked[w]:
-                    path.append((e, d))
-                    if circuit(w):
+                    if circuit(w, u + dz, t + dt):
                         found = True
-                    path.pop()
             if found:
                 unblock(v)
             else:
-                for e, w, d in adj[v]:
-                    if w in allowed:
-                        bsets[w].add(v)
+                for _, w, _, _ in arcs[v]:
+                    bsets[w].add(v)
             return found
 
-        for e, w, d in adj[start]:
-            if w == start or w not in allowed:
-                continue
-            path.append((e, d))
-            circuit(w)
-            path.pop()
+        for e, w, dz, dt in arcs[start]:
+            circuit(w, 0 + dz, 0 + dt, e)  # 0 + x: `sum`'s start value
             for v in allowed:
                 blocked[v] = False
                 bsets[v].clear()
@@ -1288,3 +1297,83 @@ def _reference_eliminate_inplace(g, t, plan, last_id: int):
             added.append(new_id)
     del g.vertices[v1], g.vertices[v2]
     return removed, added
+
+
+# ---------------------------------------------------------------------------
+# Circle markings: the builder's former two-pass labelling
+
+
+def component_indexing(cs) -> dict[int, int]:
+    """strand -> 0-based position along its component, starting at the
+    smallest strand and following the closure orientation."""
+    idx = {}
+    for cyc in cs.cycles:
+        for a, s in enumerate(cyc):
+            idx[s] = a
+    return idx
+
+
+def reference_markings(g) -> dict:
+    """Circle id -> (diff, marking) of a built graph, as the builder used to
+    derive them: the raw difference of each circle's orbit start pair (the
+    least ordered pair of its orbit), then the default representatives.
+
+    Same-component circles carry their well-defined difference index.  For a
+    mixed family the cyclic shift is anchored so that the family's first
+    circle met at the t=0 fiber (scanning z upward) gets [1]; families that
+    never meet that fiber fall back to the smallest raw difference.  The
+    anchor is the circle of the first letter's movers that lie in the
+    family's two components."""
+    cs = g.cycles
+    idx_in_comp = component_indexing(cs)
+    diffs = {}
+    for cid, c in g.circles.items():
+        start = min(pair for pair, pc in g.pass_circle.items() if pc == cid)
+        comp_pair = (cs.component_of[start[0] - 1], cs.component_of[start[1] - 1])
+        assert comp_pair == c.comp_pair
+        if comp_pair[0] == comp_pair[1]:
+            n_i = cs.lengths[comp_pair[0] - 1]
+            diff = (idx_in_comp[start[0]] - idx_in_comp[start[1]]) % n_i
+        else:
+            gcd = math.gcd(cs.lengths[comp_pair[0] - 1], cs.lengths[comp_pair[1] - 1])
+            diff = (idx_in_comp[start[0]] - idx_in_comp[start[1]]) % gcd
+        diffs[cid] = diff
+
+    out = {}
+    by_family: dict[frozenset, list] = {}
+    for c in g.circles.values():
+        i, j = c.comp_pair
+        if i == j:
+            out[c.id] = (diffs[c.id], Marking(i, j, diffs[c.id]))
+        else:
+            by_family.setdefault(frozenset((i, j)), []).append(c)
+    first_seen: dict[frozenset, object] = {}
+    for m in range(g.paths.length):
+        c = g.circles[g.pass_circle[g.paths.movers(m)]]
+        fam = frozenset(c.comp_pair)
+        if len(fam) == 2 and fam not in first_seen:
+            first_seen[fam] = c
+    for fam, members in by_family.items():
+        i, j = sorted(fam)
+        gcd = math.gcd(cs.lengths[i - 1], cs.lengths[j - 1])
+        anchor = first_seen.get(fam)
+        if anchor is not None:
+            a_diff = diffs[anchor.id]
+            shift = a_diff if anchor.comp_pair == (i, j) else (-a_diff) % gcd
+        else:
+            shift = min(diffs[c.id] for c in members if c.comp_pair == (i, j))
+        for c in members:
+            if c.comp_pair == (i, j):
+                k = ((diffs[c.id] - shift) % gcd) + 1
+            else:
+                k = ((-diffs[c.id] - shift) % gcd) + 1
+            out[c.id] = (diffs[c.id], Marking(c.comp_pair[0], c.comp_pair[1], k))
+    return out
+
+
+def unmet_families(g) -> set[frozenset]:
+    """The mixed component families {i, j} that no letter's movers lie in."""
+    comp = g.cycles.component_of
+    mixed = {frozenset(c.comp_pair) for c in g.circles.values() if len(set(c.comp_pair)) == 2}
+    met = {frozenset(comp[s - 1] for s in g.paths.movers(m)) for m in range(g.paths.length)}
+    return mixed - met

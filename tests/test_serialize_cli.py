@@ -28,6 +28,28 @@ from braidtrace.words import BraidWord, parse_word, random_word
 GOLDEN_SHA256 = "a605741507d1f38ee49e94fafda26952df25d21d210bf8722771eab76e39b637"
 
 
+def _put(value, *path):
+    """A corruption of a document: the entry at path set to value."""
+    def corrupt(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return corrupt
+
+
+def _rekey(path, key):
+    """A corruption of a document: the first key of the map at path renamed."""
+    def corrupt(doc):
+        target = doc
+        for part in path:
+            target = target[part]
+        target[key] = target.pop(next(iter(target)))
+        return doc
+    return corrupt
+
+
 class TestDocuments:
     @pytest.mark.parametrize(
         "text,n", [("s1", 3), ("", 2), ("(s1 s2^-1)^3", 3), ("s2 s3 s3 s2", 4)]
@@ -156,8 +178,26 @@ class TestDocuments:
             (lambda doc: {**doc, "circles": {}}, "circles: expected an array, got dict"),
             (lambda doc: {**doc, "circles": [{**doc["circles"][0], "marking": [1, 1]}]},
              "circle 0: marking needs three entries"),
+            (_rekey(("pass_circle",), "12"), "pass_circle: key '12' does not parse"),
+            (_rekey(("symmetry", "vertices"), "x"), "symmetry vertices: key 'x' does not parse"),
+            (_put([1], "word", "letters", 0), "word: letter 0 needs two entries"),
+            (_put(5, "vertices", 0, "strands"), "vertex 0: strands needs three entries"),
+            (_put(5, "edges", 0, "over_under"), "edge 0: over_under needs two entries"),
+            (_put(5, "circles", 0, "edges"), "circle 0: edges must be an array of integers"),
+            (_put(None, "vertices", 0, "below"), "vertex 0: below must be an array of integers"),
+            (_put("3", "word", "n"), "word: n must be an integer"),
+            (_put("1", "edges", 0, "level"), "edge 0: level must be an integer"),
+            (_put("x", "edges", 0, "dz"), "edge 0: dz must be a number"),
+            (_put([1], "edges", 0, "tail_pair"), "edge 0: tail_pair needs two entries.*or null"),
+            (_put(True, "edges", 0, "level"), "edge 0: level must be an integer"),
+            (_put([1, "2", 1], "circles", 0, "marking"), "circle 0: marking needs three entries"),
         ],
-        ids=["document", "word", "symmetry", "vertex", "edge", "circle", "circles", "marking"],
+        ids=[
+            "document", "word", "symmetry", "vertex", "edge", "circle", "circles", "marking",
+            "pass_circle-key", "symmetry-key", "letter", "strands", "over_under",
+            "circle-edges", "below", "n", "level", "dz", "tail_pair", "bool-level",
+            "marking-entry",
+        ],
     )
     def test_malformed_document_refused(self, corrupt, message):
         doc = corrupt(graph_to_document(build_trace_graph(parse_word("s1", 3))))

@@ -10,6 +10,7 @@ from helpers import (
     reconstruct_partner_column,
 )
 
+from braidtrace import cli
 from braidtrace import threebraid as tb
 from braidtrace.threebraid import (
     Verdict,
@@ -242,3 +243,25 @@ class TestRelabeledProfile:
                 assert res.verdict is Verdict.TRUE
                 assert res.relabeling == matching[0], (p, rho)
         assert several > 0
+
+
+class TestReducedGraphCache:
+    """The reduced-graph cache serves the reads inside one decision."""
+
+    def test_holds_one_decisions_graphs(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            a = random_word(3, rng.randint(4, 12), rng)
+            if rng.random() < 0.5:
+                b = conjugate(a, random_word(3, rng.randint(1, 4), rng))
+            else:
+                b = random_word(3, rng.randint(4, 12), rng)
+            conjugate_3braids(a, b)
+        assert tb._reduced_graph_cached.cache_info().currsize <= 2
+
+    def test_invariants_read_one_graph(self, capsys):
+        tb._reduced_graph_cached.cache_clear()
+        assert cli.main(["invariants", "--word", BORRO_A, "--strands", "3"]) == 0
+        assert "C_23:" in capsys.readouterr().out
+        info = tb._reduced_graph_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 2)

@@ -10,11 +10,13 @@ from helpers import (
     golden_words,
     ranked_edge_partner,
     reference_injectivity_samples,
+    reference_markings,
     reference_read_fiber,
     reference_singular_t_values,
     scanned_level,
     scanned_symmetry_involution,
     track_position,
+    unmet_families,
     wide_words,
 )
 
@@ -148,6 +150,20 @@ class TestCircles:
             else:
                 gcd = math.gcd(g.cycles.lengths[i - 1], g.cycles.lengths[j - 1])
                 assert 1 <= c.marking.k <= gcd
+
+    def test_markings_match_the_two_pass_reference(self):
+        # pure words with mixed families that no letter's movers lie in
+        unmet = [parse_word(t, n) for t, n in (("s1^2", 3), ("s1^2 s3^2", 4), ("s2^4", 5))]
+        assert all(unmet_families(build_trace_graph(w)) for w in unmet)
+        rng = random.Random(1919)
+        words = golden_words() + wide_words() + unmet
+        words += [w for l in range(6) for w in iter_reduced_words(3, l)]
+        words += [w for l in range(4) for w in iter_reduced_words(4, l)]
+        words += [random_word(rng.randint(2, 8), rng.randint(1, 12), rng) for _ in range(200)]
+        for w in words:
+            g = build_trace_graph(w)
+            mine = {c.id: (c.diff, c.marking) for c in g.circles.values()}
+            assert mine == reference_markings(g), w
 
 
 class TestBuilderFloats:
