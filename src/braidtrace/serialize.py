@@ -1,15 +1,25 @@
 """Trace graph documents: canonical JSON and DOT export.
 
-The JSON writer is deterministic byte for byte: keys sorted, floats at 12
-significant digits.  Loading a document rebuilds a TraceGraph carrying all
-combinatorial data (rotation systems, levels, markings, displacements);
-fiber operations need the original strand paths and are not available on
-loaded graphs.  A circle's marking must name its own component pair, with a
-mixed pair's cyclic index in 1..gcd, as on every built graph: the isotopy
-decision reads a circle's family and shift range from its marking.  A
-document that lacks a key or a record field, whose document, section,
-record list or record has the wrong JSON shape, or whose field value or
-map key has the wrong JSON type, is refused with a SchemaError naming it.
+The JSON writer is deterministic byte for byte: `graph_to_document` holds
+each float at 12 significant digits (an integral one as an int), and
+`canonical_json` is the stdlib encoder with sorted keys, compact separators,
+ASCII output and no NaN, for documents with string keys only.  The encoder
+prints a rounded float as its shortest repr, the digits of ".12g", except
+-0.0 (written 0), subnormals and magnitudes of 1e12 or more; no graph holds
+these, as z lies in [0, 1), t in [0, 2*pi), dz and dt are small sums and
+the builder never makes -0.0.  A non-finite float raises ValueError.
+
+Loading a document rebuilds a TraceGraph carrying all combinatorial data
+(rotation systems, levels, markings, displacements); fiber operations need
+the original strand paths and are not available on loaded graphs.  A
+circle's marking must name its own component pair, with a mixed pair's
+cyclic index in 1..gcd, as on every built graph: the isotopy decision reads
+a circle's family and shift range from its marking.  A document is refused
+with a SchemaError naming the fault when it lacks a key or a record field,
+has a document, section, record list or record of the wrong JSON shape, a
+field value or map key of the wrong JSON type, a number that is not finite,
+a word that is no braid word, or a strand, level or component label out of
+the word's range.
 """
 
 from __future__ import annotations
@@ -30,80 +40,14 @@ class SchemaError(ValueError):
     pass
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
-_INT_ONLY = {int}
-_STR_ONLY = {str}
-# dict key tuple (insertion order) -> (sorted keys, their encoded "key:" prefixes),
-# for dicts of at most _SHAPE_KEYS keys: every record has at most 10, while the
-# index maps of larger graphs are longer and rarely repeat their key order.
-# The first _SHAPE_CACHE shapes are kept, so memory stays bounded.
-_SHAPE_KEYS = 12
-_SHAPE_CACHE = 16
-_shapes: dict[tuple, tuple[list, list[str]]] = {}
-
-
-def _fmt(value) -> str:
-    """Dispatch on the exact type; None, booleans, subclasses, dicts with
-    other than string keys and unsupported types take `_fmt_any`."""
-    kind = type(value)
-    if kind is int:
-        return str(value)
-    if kind is float:
-        return f"{value:.12g}"
-    if kind is str:
-        return _encode_str(value)
-    if kind is list or kind is tuple:
-        if {*map(type, value)} == _INT_ONLY:
-            return "[" + ",".join(map(str, value)) + "]"
-        return "[" + ",".join([_fmt(x) for x in value]) + "]"
-    if kind is dict:
-        return _fmt_dict(value)
-    return _fmt_any(value)
-
-
-def _fmt_dict(value: dict) -> str:
-    if not value or {*map(type, value)} != _STR_ONLY:
-        return _fmt_any(value)
-    if len(value) > _SHAPE_KEYS:
-        keys = sorted(value)
-        prefixes = [_encode_str(k) + ":" for k in keys]
-    else:
-        shape = tuple(value)
-        hit = _shapes.get(shape)
-        if hit is None:
-            keys = sorted(shape)
-            hit = (keys, [_encode_str(k) + ":" for k in keys])
-            if len(_shapes) < _SHAPE_CACHE:
-                _shapes[shape] = hit
-        keys, prefixes = hit
-    return "{" + ",".join([p + _fmt(value[k]) for k, p in zip(keys, prefixes)]) + "}"
-
-
-def _fmt_any(value) -> str:
-    """The writer by isinstance, for what `_fmt` does not dispatch; raises
-    TypeError on a type JSON cannot hold."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(x) for x in value) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(f"{json.dumps(k)}:{_fmt(v)}" for k, v in items) + "}"
-    raise TypeError(f"cannot serialise {type(value)}")
+def _num(x: float) -> float | int:
+    """x at 12 significant digits, as an int when that value is integral."""
+    r = float(f"{x:.12g}")
+    return int(r) if r.is_integer() else r
 
 
 def canonical_json(doc: dict) -> str:
-    return _fmt(doc) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def graph_to_document(g: TraceGraph) -> dict:
@@ -111,8 +55,8 @@ def graph_to_document(g: TraceGraph) -> dict:
     vertices = [
         {
             "id": v.id,
-            "z": v.z,
-            "t": v.t,
+            "z": _num(v.z),
+            "t": _num(v.t),
             "strands": list(v.strands),
             "letter": v.letter,
             "spectator_slot": v.spectator_slot,
@@ -126,8 +70,8 @@ def graph_to_document(g: TraceGraph) -> dict:
             "id": e.id,
             "tail": e.tail,
             "head": e.head,
-            "dz": e.dz,
-            "dt": e.dt,
+            "dz": _num(e.dz),
+            "dt": _num(e.dt),
             "level": e.level,
             "circle": e.circle,
             "over_under": list(e.pair),
@@ -165,29 +109,30 @@ def graph_to_document(g: TraceGraph) -> dict:
             "tool": "braidtrace",
             "version": TOOL_VERSION,
             "tolerances": {
-                "event_separation": EVENT_SEP,
-                "root": ROOT_TOL,
-                "genericity_margin": GENERICITY_MARGIN,
+                "event_separation": _num(EVENT_SEP),
+                "root": _num(ROOT_TOL),
+                "genericity_margin": _num(GENERICITY_MARGIN),
             },
         },
     }
 
 
 _DOCUMENT_KEYS = ("word", "vertices", "edges", "circles", "symmetry", "pass_circle")
-# each record field's JSON type: an integer (never a boolean), a number, an
-# integer array, or one of a fixed length ("ints:3"); "?" admits null
+# each record field's JSON type: an integer (never a boolean), a finite
+# number, an integer array, or one of a fixed length ("ints:3"); "?" admits
+# null; a word after a space names the word's range its integers lie in
 _RECORD_FIELDS = {
     "vertex": {
-        "id": "int", "z": "num", "t": "num", "strands": "ints:3", "letter": "int",
+        "id": "int", "z": "num", "t": "num", "strands": "ints:3 strand", "letter": "int",
         "spectator_slot": "int", "below": "ints", "above": "ints",
     },
     "edge": {
         "id": "int", "tail": "int?", "head": "int?", "dz": "num", "dt": "num",
-        "level": "int", "circle": "int", "over_under": "ints:2",
-        "tail_pair": "ints:2?", "head_pair": "ints:2?",
+        "level": "int level", "circle": "int", "over_under": "ints:2 component",
+        "tail_pair": "ints:2? strand", "head_pair": "ints:2? strand",
     },
     "circle": {
-        "id": "int", "marking": "ints:3", "diff": "int", "comp_pair": "ints:2",
+        "id": "int", "marking": "ints:3", "diff": "int", "comp_pair": "ints:2 component",
         "edges": "ints", "dz_total": "int", "dt_winding": "int",
     },
 }
@@ -213,9 +158,11 @@ def _require(record: dict, keys, what: str) -> None:
             raise SchemaError(f"{what}: missing field {key!r}")
 
 
-def _check_field(value, spec: str, what: str, field: str) -> None:
+def _check_field(value, spec: str, what: str, field: str, ranges: dict | None = None) -> None:
     """Raise SchemaError naming what's field unless value has the JSON type
-    of spec (see `_RECORD_FIELDS`)."""
+    of spec, and its integers lie in the range spec names in ranges (see
+    `_RECORD_FIELDS`)."""
+    spec, _, domain = spec.partition(" ")
     if value is None and spec.endswith("?"):
         return
     kind, _, size = spec.rstrip("?").partition(":")
@@ -224,6 +171,8 @@ def _check_field(value, spec: str, what: str, field: str) -> None:
         raise SchemaError(f"{what}: {field} must be an integer{null}")
     if kind == "num" and type(value) not in (int, float):
         raise SchemaError(f"{what}: {field} must be a number{null}")
+    if type(value) is float and not math.isfinite(value):
+        raise SchemaError(f"{what}: {field} must be finite, got {value}")
     if kind == "ints":
         ints = type(value) is list and all(type(x) is int for x in value)
         if size and not (ints and len(value) == int(size)):
@@ -231,17 +180,23 @@ def _check_field(value, spec: str, what: str, field: str) -> None:
             raise SchemaError(f"{what}: {field} needs {count} entries, all integers{null}")
         if not ints:
             raise SchemaError(f"{what}: {field} must be an array of integers{null}")
+    if domain:
+        allowed = ranges[domain]
+        for x in value if kind == "ints" else (value,):
+            if x not in allowed:
+                span = f"{allowed.start}..{allowed.stop - 1}"
+                raise SchemaError(f"{what}: {field} holds {x}, not a {domain} in {span}")
 
 
-def _records(doc: dict, key: str, kind: str) -> list[dict]:
+def _records(doc: dict, key: str, kind: str, ranges: dict) -> list[dict]:
     """The records of doc[key], each checked to carry every field of its
-    kind with its JSON type; a record is named by its id, or by its
-    position without one."""
+    kind with its JSON type and range; a record is named by its id, or by
+    its position without one."""
     for k, rec in enumerate(_expect(doc[key], list, key)):
         _require(rec, ("id",), f"{kind} at position {k}")
         _require(rec, _RECORD_FIELDS[kind], f"{kind} {rec['id']}")
         for field, spec in _RECORD_FIELDS[kind].items():
-            _check_field(rec[field], spec, f"{kind} {rec['id']}", field)
+            _check_field(rec[field], spec, f"{kind} {rec['id']}", field, ranges)
     return doc[key]
 
 
@@ -271,15 +226,21 @@ def document_to_graph(doc: dict) -> TraceGraph:
     for k, letter in enumerate(_expect(doc["word"]["letters"], list, "word letters")):
         _check_field(letter, "ints:2", "word", f"letter {k}")
     _check_field(doc.get("reduced_from"), "int?", "document", "reduced_from")
-    word = BraidWord(doc["word"]["n"], tuple((i, s) for i, s in doc["word"]["letters"]))
+    try:
+        word = BraidWord(doc["word"]["n"], tuple((i, s) for i, s in doc["word"]["letters"]))
+    except ValueError as exc:
+        raise SchemaError(f"word: {exc}") from exc
+    cycles = cycle_structure(word)
+    n, labels = word.n, len(cycles.lengths)
+    ranges = {"strand": range(1, n + 1), "level": range(1, n), "component": range(1, labels + 1)}
     vertices = {}
-    for v in _records(doc, "vertices", "vertex"):
+    for v in _records(doc, "vertices", "vertex", ranges):
         vertices[v["id"]] = TraceVertex(
             v["id"], v["z"], v["t"], tuple(v["strands"]), v["letter"],
             v["spectator_slot"], tuple(v["below"]), tuple(v["above"]),
         )
     edges = {}
-    for e in _records(doc, "edges", "edge"):
+    for e in _records(doc, "edges", "edge", ranges):
         edges[e["id"]] = TraceEdge(
             e["id"], e["tail"], e["head"], e["dz"], e["dt"], e["level"],
             e["circle"], tuple(e["over_under"]),
@@ -287,7 +248,7 @@ def document_to_graph(doc: dict) -> TraceGraph:
             tuple(e["head_pair"]) if e["head_pair"] else None,
         )
     circles = {}
-    for c in _records(doc, "circles", "circle"):
+    for c in _records(doc, "circles", "circle", ranges):
         circles[c["id"]] = TraceCircle(
             c["id"], Marking(*c["marking"]), c["diff"], tuple(c["comp_pair"]),
             tuple(c["edges"]), c["dz_total"], c["dt_winding"],
@@ -298,7 +259,6 @@ def document_to_graph(doc: dict) -> TraceGraph:
     ]
     pass_circle = _int_map(doc["pass_circle"], "pass_circle", _PAIR_KEY)
     _check_references(vertices, edges, circles, partners, pass_circle)
-    cycles = cycle_structure(word)
     for c in circles.values():
         _check_marking(c, cycles.lengths)
     return TraceGraph(
@@ -340,7 +300,7 @@ def _check_references(vertices, edges, circles, partners, pass_circle) -> None:
 
 def _check_marking(c: TraceCircle, lengths: tuple[int, ...]) -> None:
     m = c.marking
-    if (m.i, m.j) != c.comp_pair or not all(1 <= x <= len(lengths) for x in c.comp_pair):
+    if (m.i, m.j) != c.comp_pair:
         raise SchemaError(f"circle {c.id}: marking {m} does not match components {c.comp_pair}")
     if m.i != m.j and not 1 <= m.k <= math.gcd(lengths[m.i - 1], lengths[m.j - 1]):
         raise SchemaError(f"circle {c.id}: marking {m} has a cyclic index out of range")
@@ -371,7 +331,7 @@ def to_dot(g: TraceGraph) -> str:
             if e.tail is None:
                 lines.append(
                     f'  loop{loop_anchor} [shape=plaintext,label="{label} '
-                    f'(dz={e.dz:.0f},w={-round(e.dt / 6.283185307179586)})",'
+                    f'(dz={e.dz:.0f},w={-c.dt_winding})",'
                     f'fontcolor="{color}"];'
                 )
                 loop_anchor += 1

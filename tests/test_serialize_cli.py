@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,14 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import golden_words, reference_fmt
+from helpers import golden_words, reference_fmt, wide_words
 
 import braidtrace
 from braidtrace import serialize
 from braidtrace import cli
 from braidtrace import equivalence as eq
+from braidtrace.embedding import EVENT_SEP, GENERICITY_MARGIN, ROOT_TOL
 from braidtrace.serialize import (
     SchemaError,
+    _num,
     canonical_json,
     document_to_graph,
     graph_to_document,
@@ -26,6 +29,8 @@ from braidtrace.words import BraidWord, parse_word, random_word
 # sha256 of the canonical_json documents of golden_words(), one per line,
 # as written before the in-package root solver replaced scipy's brentq
 GOLDEN_SHA256 = "a605741507d1f38ee49e94fafda26952df25d21d210bf8722771eab76e39b637"
+# sha256 of to_dot of golden_words(), each built and then reduced
+GOLDEN_DOT_SHA256 = "109364dd25deb45af2c041e27bbe2812ec5c0369249aa2c471c452c72f84d932"
 
 
 def _put(value, *path):
@@ -204,6 +209,39 @@ class TestDocuments:
         with pytest.raises(SchemaError, match=message):
             document_to_graph(doc)
 
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (_put(float("nan"), "vertices", 0, "z"), "vertex 0: z must be finite"),
+            (_put(float("inf"), "vertices", 0, "t"), "vertex 0: t must be finite"),
+            (_put(float("inf"), "edges", 0, "dz"), "edge 0: dz must be finite"),
+            (_put(float("-inf"), "edges", 0, "dt"), "edge 0: dt must be finite"),
+            (_put(1, "word", "n"), "word: strand count must be >= 2"),
+            (_put([5, 1], "word", "letters", 0), "word: letter index 5 out of range"),
+            (_put([1, 0], "word", "letters", 1), "word: letter sign must be"),
+            (_put([7, 8, 9], "vertices", 0, "strands"), "vertex 0: strands holds 7, not a strand"),
+            (_put([1, 0], "edges", 0, "tail_pair"), "edge 0: tail_pair holds 0, not a strand"),
+            (_put([4, 1], "edges", 0, "head_pair"), "edge 0: head_pair holds 4, not a strand"),
+            (_put([7, 8], "edges", 0, "over_under"),
+             "edge 0: over_under holds 7, not a component in 1..1"),
+            (_put(0, "edges", 0, "level"), "edge 0: level holds 0, not a level in 1..2"),
+            (_put(9, "edges", 0, "level"), "edge 0: level holds 9, not a level in 1..2"),
+            (_put([1, 2], "circles", 0, "comp_pair"),
+             "circle 0: comp_pair holds 2, not a component in 1..1"),
+        ],
+        ids=[
+            "nan-z", "inf-t", "inf-dz", "minus-inf-dt", "n", "letter-index", "letter-sign",
+            "strands", "tail_pair", "head_pair", "over_under", "level-0", "level-9", "comp_pair",
+        ],
+    )
+    def test_out_of_range_refused(self, corrupt, message):
+        # the B3 word s1 s2 closes to one component; JSON reads NaN and
+        # Infinity (and 1e400 as inf), so the loaded document can hold them
+        g = build_trace_graph(parse_word("s1 s2", 3))
+        doc = corrupt(json.loads(canonical_json(graph_to_document(g))))
+        with pytest.raises(SchemaError, match=message):
+            document_to_graph(doc)
+
     def test_marking_names_its_components(self):
         # B3 s1 has components of lengths 2 and 1; swap i and j in the
         # marking of one mixed circle, leaving its comp_pair
@@ -238,16 +276,27 @@ class TestDocuments:
         assert to_dot(g) == to_dot(g)
         assert to_dot(g).startswith("digraph")
 
+    def test_golden_dot_bytes(self):
+        h = hashlib.sha256()
+        for w in golden_words():
+            g = build_trace_graph(w)
+            h.update(to_dot(g).encode() + to_dot(eq.reduce(g)).encode())
+        assert h.hexdigest() == GOLDEN_DOT_SHA256
+
 
 class TestWriter:
     """canonical_json against the isinstance-dispatch reference writer."""
 
     def test_built_and_reduced_documents(self):
-        for w in golden_words()[::2]:
+        # the reference writes each float of the graph unrounded at .12g
+        rng = random.Random(11)
+        words = golden_words() + wide_words()
+        words += [random_word(n, rng.randint(0, 10), rng) for n in rng.choices(range(2, 9), k=200)]
+        for w in words:
             g = build_trace_graph(w)
-            for h in (g, eq.reduce(g)):
-                doc = graph_to_document(h)
-                assert canonical_json(doc) == reference_fmt(doc) + "\n"
+            for h in (g, eq.reduce(g), eq.reduce(g, rng=random.Random(7))):
+                expected = reference_fmt(_unrounded_document(h)) + "\n"
+                assert canonical_json(graph_to_document(h)) == expected, w
 
     def test_synthetic_documents(self):
         class Count(int):
@@ -257,20 +306,27 @@ class TestWriter:
             pass
 
         docs = [
-            None, True, False, 0, -7, 2**70, Count(3), 1.5, -0.0, 1e-300,
-            float("inf"), float("nan"), "", "plain", Name("sub"),
+            None, True, False, 0, -7, 2**70, Count(3), "", "plain", Name("sub"),
             'quote " and backslash \\', "non-ASCII: \u00e9 \u00df \u6f22 \U0001f600", "\x00\n\t",
             [], (), {}, [[]], {"e": {}},
-            [None, True, False, 1, 2.5, "s", [], {}, (1, (2, [3]))],
-            [1, True, 2], [1, 2.0], (1, 2, 3), [[1, 2], [3, 4]],
+            [None, True, False, 1, "s", [], {}, (1, (2, [3]))],
+            [1, True, 2], (1, 2, 3), [[1, 2], [3, 4]],
             {"b": 1, "a": [1, 2], "\u00e9": "\u00fc", 'q"': None, "z\\": True},
             {str(k): k for k in range(20)},
-            {f"k{k:02}": [k, float(k), str(k)] for k in range(13)},
+            {f"k{k:02}": [k, str(k)] for k in range(13)},
             {"nested": {"x": {"y": {}}}, "t": (True, None), "f": [False]},
-            {3: "int keys", 1: "a"},
         ]
         for doc in docs:
             assert canonical_json(doc) == reference_fmt(doc) + "\n", doc
+
+    def test_floats_at_twelve_digits(self):
+        for x in (1.5, 1e-300, 1e-05, 9.9999999999995e-05, math.pi, -3 * math.pi, 1 / 3, 2.0,
+                  123456.0):
+            assert json.dumps(_num(x)) == format(x, ".12g"), x
+        assert canonical_json([_num(-0.0)]) == "[0]\n"
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                canonical_json({"x": x})
 
     @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", {"a": [1, object()]}, [(1, {2})]])
     def test_unsupported_type_raises(self, bad):
@@ -279,30 +335,22 @@ class TestWriter:
         with pytest.raises(TypeError):
             canonical_json(bad)
 
-    def test_shape_cache_is_bounded(self):
-        rng = random.Random(11)
-        words = set()
-        while len(words) < 200:
-            n = rng.choice((2, 3, 4, 5))
-            words.add(random_word(n, rng.randint(0, 6), rng))
-        shapes = set()
-        for w in sorted(words, key=str):
-            doc = graph_to_document(build_trace_graph(w))
-            assert canonical_json(doc) == reference_fmt(doc) + "\n"
-            shapes |= _small_dict_shapes(doc)
-        assert len(shapes) > 16  # the index maps of small graphs alone would overflow it
-        assert len(serialize._shapes) <= 16
+
+def _unrounded_document(g) -> dict:
+    """graph_to_document(g) with every float field read back from g."""
+    doc = graph_to_document(g)
+    for rec in doc["vertices"]:
+        rec["z"], rec["t"] = g.vertices[rec["id"]].z, g.vertices[rec["id"]].t
+    for rec in doc["edges"]:
+        rec["dz"], rec["dt"] = g.edges[rec["id"]].dz, g.edges[rec["id"]].dt
+    doc["provenance"]["tolerances"] = {
+        "event_separation": EVENT_SEP, "root": ROOT_TOL, "genericity_margin": GENERICITY_MARGIN,
+    }
+    return doc
 
 
-def _small_dict_shapes(value) -> set:
-    if isinstance(value, dict):
-        out = {tuple(value)} if len(value) <= 12 else set()
-        for v in value.values():
-            out |= _small_dict_shapes(v)
-        return out
-    if isinstance(value, list):
-        return set().union(*map(_small_dict_shapes, value))
-    return set()
+def _refuse_constant(name: str):
+    raise ValueError(f"document holds the non-finite number {name}")
 
 
 def run_cli(*args):
@@ -316,7 +364,7 @@ class TestCli:
         out = tmp_path / "a.json"
         r = run_cli("build", "--word", "s1", "--strands", "3", "--out", str(out))
         assert r.returncode == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
         assert len(doc["vertices"]) == 2
 
     def test_build_empty_word(self, tmp_path):
