@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import levels as lv
@@ -476,11 +476,18 @@ def _eliminate_inplace(
     mutated.  The t+pi pairing is left stale for the caller to rebuild.
 
     A circle whose only outside edge is pred == succ closes into a
-    vertex-free loop, which takes that outside edge's level.  That level
-    can depend on which trihedron was chosen: when the last two vertices
-    of a 3-braid graph go, both same-direction triples of the three
-    remaining circles are eliminable and give opposite loop levels.
-    reduce() therefore sets the level of every loop it closes; see there.
+    vertex-free loop.  The loop takes the level its strand pairs share in
+    the canonical placement, where track a rests at slot a
+    (`_resting_level(n, a, b)` over the circle's `pass_circle` pairs).
+    Every vertex-free circle of a built graph has that level, because the
+    fibre at z = 0 is the canonical placement and a circle without vertices
+    never changes level; so the level does not depend on which trihedron
+    closed the loop, and the t+pi law level(e') = n - level(e) holds.  The
+    outside edge's level would: when the last two vertices of a 3-braid
+    graph go, both same-direction triples of the three remaining circles
+    are eliminable and give opposite outside levels.  If the strand pairs
+    disagreed on the canonical level (not seen in any reduction so far),
+    the loop would keep the outside edge's level.
     """
     v1, v2 = t.vertices
     new_id = last_id
@@ -491,9 +498,11 @@ def _eliminate_inplace(
         new_id += 1
         if pred == succ:
             # the circle had only this edge outside; it closes into a loop
+            levels = {_resting_level(g.n, a, b) for (a, b), cid in g.pass_circle.items()
+                      if cid == c.id}
             merged = TraceEdge(
-                new_id, None, None,
-                ep.dz + e.dz, ep.dt + e.dt, ep.level, c.id, e.pair,
+                new_id, None, None, ep.dz + e.dz, ep.dt + e.dt,
+                levels.pop() if len(levels) == 1 else ep.level, c.id, e.pair,
             )
             g.edges[new_id] = merged
             del g.edges[eid], g.edges[pred]
@@ -534,24 +543,20 @@ def reduce(
     rng=None,
 ) -> TraceGraph:
     """Eliminate embedded trihedra until none remain.  Deterministic order
-    (lexicographically smallest vertex coordinates first) unless an rng is
-    given, in which case the elimination order is random.
+    (the pair with the smallest vertex id first) unless an rng is given, in
+    which case the elimination order is random.  The builder numbers
+    vertices in increasing (z, t): letter by letter, a letter's trisecants
+    by increasing window parameter, the lift at t0 before its t0 + pi
+    partner; reduction never renumbers a vertex.  So the smallest id is the
+    lexicographically smallest vertex coordinates.
 
     Parallel edges are indexed by end pair.  A splice plan holds every edge
     at its two vertices, so each group it meets goes whole: the plan's
     groups are dropped, the spliced edges indexed, and `hot` changed in
-    place, as a seeded order shuffles it in its iteration order.
-
-    Level of a loop closed by reduction: the level its strand pairs have in
-    the canonical placement, where track a rests at slot a
-    (`_resting_level(n, a, b)`).  Every vertex-free circle of a built graph
-    has that level, because the fibre at z = 0 is the canonical placement
-    and a circle without vertices never changes level; so the result does
-    not depend on the elimination order and keeps the t+pi law level(e') =
-    n - level(e).  If a loop's strand pairs disagreed on the canonical
-    level (not seen in any reduction so far), it would keep the level of
-    its circle's last outside edge.  The t+pi pairing of the survivors is
-    read once, at the end (`pair_partners`).
+    place, as a seeded order shuffles it in its iteration order.  A loop
+    the reduction closes takes its level in the splice
+    (`_eliminate_inplace`).  The t+pi pairing of the survivors is read
+    once, at the end (`pair_partners`).
     """
     original = g.num_vertices
     work = g.copy()
@@ -571,16 +576,6 @@ def reduce(
 
     index(work.edges)
 
-    sort_keys: dict[frozenset, tuple[float, float]] = {}
-
-    def pair_key(k: frozenset):
-        # vertices never move, so a pair's key is computed once
-        if k not in sort_keys:
-            sort_keys[k] = min(
-                (round(work.vertices[v].z, 9), round(work.vertices[v].t, 9)) for v in k
-            )
-        return sort_keys[k]
-
     def eliminable_in(key: frozenset):
         """The first eliminable trihedron on the pair, with its splice plan."""
         v1, v2 = sorted(key)
@@ -599,7 +594,7 @@ def reduce(
     while True:
         candidates = list(hot)
         if rng is None:
-            candidates.sort(key=pair_key)
+            candidates.sort(key=min)
         else:
             rng.shuffle(candidates)
         chosen = None
@@ -618,24 +613,8 @@ def reduce(
         index(range(last_id + 1, last_id + 4))
         last_id += 3
     work.reduced_from = original
-    if original > work.num_vertices:
-        _level_closed_loops(work)
     pair_partners(work)
     return work
-
-
-def _level_closed_loops(g: TraceGraph) -> None:
-    """Give every vertex-free circle the level its strand pairs have in the
-    canonical placement, when they agree on one.  Loops the graph had
-    before reduction already carry that level."""
-    levels_of: dict[int, set[int]] = {}
-    for (a, b), cid in g.pass_circle.items():
-        levels_of.setdefault(cid, set()).add(_resting_level(g.n, a, b))
-    for c in g.circles.values():
-        e = g.edges[c.edges[0]]
-        if e.tail is None and len(levels_of[c.id]) == 1:
-            (level,) = levels_of[c.id]
-            g.edges[e.id] = replace(e, level=level)
 
 
 def equivalent_up_to_trihedral(g1: TraceGraph, g2: TraceGraph) -> IsotopyResult:

@@ -18,8 +18,12 @@ a circle's family and shift range from its marking.  A document is refused
 with a SchemaError naming the fault when it lacks a key or a record field,
 has a document, section, record list or record of the wrong JSON shape, a
 field value or map key of the wrong JSON type, a number that is not finite,
-a word that is no braid word, or a strand, level or component label out of
-the word's range.
+a word that is no braid word, a strand, level or component label out of
+the word's range, or a coordinate or displacement out of bounds: z in
+[0, 1], t in [0, 2*pi] (both widened by 1e-9 for the 12-digit rounding),
+|dz| <= n^2 and |dt| <= 2*pi*n^2*(l + 1) for a word of length l.  Built and
+reduced graphs stay well inside; a larger displacement would only slow or
+overflow the isotopy decision.
 """
 
 from __future__ import annotations
@@ -120,14 +124,15 @@ def graph_to_document(g: TraceGraph) -> dict:
 _DOCUMENT_KEYS = ("word", "vertices", "edges", "circles", "symmetry", "pass_circle")
 # each record field's JSON type: an integer (never a boolean), a finite
 # number, an integer array, or one of a fixed length ("ints:3"); "?" admits
-# null; a word after a space names the word's range its integers lie in
+# null; a word after a space names the word's range its integers lie in,
+# or the closed interval a number lies in
 _RECORD_FIELDS = {
     "vertex": {
-        "id": "int", "z": "num", "t": "num", "strands": "ints:3 strand", "letter": "int",
+        "id": "int", "z": "num z", "t": "num t", "strands": "ints:3 strand", "letter": "int",
         "spectator_slot": "int", "below": "ints", "above": "ints",
     },
     "edge": {
-        "id": "int", "tail": "int?", "head": "int?", "dz": "num", "dt": "num",
+        "id": "int", "tail": "int?", "head": "int?", "dz": "num dz", "dt": "num dt",
         "level": "int level", "circle": "int", "over_under": "ints:2 component",
         "tail_pair": "ints:2? strand", "head_pair": "ints:2? strand",
     },
@@ -160,8 +165,8 @@ def _require(record: dict, keys, what: str) -> None:
 
 def _check_field(value, spec: str, what: str, field: str, ranges: dict | None = None) -> None:
     """Raise SchemaError naming what's field unless value has the JSON type
-    of spec, and its integers lie in the range spec names in ranges (see
-    `_RECORD_FIELDS`)."""
+    of spec, and its integers lie in the range, or its number in the
+    interval, that spec names in ranges (see `_RECORD_FIELDS`)."""
     spec, _, domain = spec.partition(" ")
     if value is None and spec.endswith("?"):
         return
@@ -180,7 +185,11 @@ def _check_field(value, spec: str, what: str, field: str, ranges: dict | None = 
             raise SchemaError(f"{what}: {field} needs {count} entries, all integers{null}")
         if not ints:
             raise SchemaError(f"{what}: {field} must be an array of integers{null}")
-    if domain:
+    if domain and kind == "num":
+        lo, hi = ranges[domain]
+        if not lo <= value <= hi:
+            raise SchemaError(f"{what}: {field} lies outside [{lo:.12g}, {hi:.12g}]")
+    elif domain:
         allowed = ranges[domain]
         for x in value if kind == "ints" else (value,):
             if x not in allowed:
@@ -233,6 +242,9 @@ def document_to_graph(doc: dict) -> TraceGraph:
     cycles = cycle_structure(word)
     n, labels = word.n, len(cycles.lengths)
     ranges = {"strand": range(1, n + 1), "level": range(1, n), "component": range(1, labels + 1)}
+    dt = 2 * math.pi * n * n * (len(word) + 1)
+    ranges.update(z=(-1e-9, 1 + 1e-9), t=(-1e-9, 2 * math.pi + 1e-9))
+    ranges.update(dz=(-n * n, n * n), dt=(-dt, dt))
     vertices = {}
     for v in _records(doc, "vertices", "vertex", ranges):
         vertices[v["id"]] = TraceVertex(
@@ -331,7 +343,7 @@ def to_dot(g: TraceGraph) -> str:
             if e.tail is None:
                 lines.append(
                     f'  loop{loop_anchor} [shape=plaintext,label="{label} '
-                    f'(dz={e.dz:.0f},w={-c.dt_winding})",'
+                    f'(dz={e.dz:.0f},dt_winding={c.dt_winding})",'
                     f'fontcolor="{color}"];'
                 )
                 loop_anchor += 1

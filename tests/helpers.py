@@ -27,7 +27,9 @@ earlier pairing of pass visits by their rank along the reversed pair.
 The trace code, the injectivity samples and the singular fiber times are
 checked against the forms that read every level, every pair's track
 positions and every letter afresh.  Reduction is checked against its
-earlier form, which took each removed edge out of the pair index in turn.
+earlier form, which took each removed edge out of the pair index in turn,
+ordered pairs by their rounded vertex coordinates and levelled the loops
+it closed in a pass after the loop.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -63,6 +65,7 @@ from braidtrace.tracegraph import (
     TraceEdge,
     TraceVertex,
     _level_at,
+    _resting_level,
     _solve_monotone_theta,
     _x_rank,
     pair_partners,
@@ -1158,7 +1161,9 @@ def reference_reduce(g, rng=None):
     """`equivalence.reduce` as it kept its pair index before the splice
     plan became the only record of a splice: `_eliminate_inplace` returned
     the removed (edge, tail, head) triples and the spliced ids, and each
-    removed edge was taken out of its group one at a time (`unregister`).
+    removed edge was taken out of its group one at a time (`unregister`),
+    hot pairs were sorted by their least rounded (z, t), and the loops it
+    closed took their levels after the loop (`_level_closed_loops`).
     Plan rows carry a fourth field, the edge's position, which this copy
     ignores: it searches the circle's edge tuple instead."""
     original = g.num_vertices
@@ -1237,9 +1242,23 @@ def reference_reduce(g, rng=None):
             register(eid)
     work.reduced_from = original
     if original > work.num_vertices:
-        eq._level_closed_loops(work)
+        _level_closed_loops(work)
     pair_partners(work)
     return work
+
+
+def _level_closed_loops(g) -> None:
+    """Give every vertex-free circle the level its strand pairs have in the
+    canonical placement, when they agree on one.  Loops the graph had
+    before reduction already carry that level."""
+    levels_of: dict[int, set[int]] = {}
+    for (a, b), cid in g.pass_circle.items():
+        levels_of.setdefault(cid, set()).add(_resting_level(g.n, a, b))
+    for c in g.circles.values():
+        e = g.edges[c.edges[0]]
+        if e.tail is None and len(levels_of[c.id]) == 1:
+            (level,) = levels_of[c.id]
+            g.edges[e.id] = replace(e, level=level)
 
 
 def _reference_eliminate_inplace(g, t, plan, last_id: int):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +30,9 @@ from braidtrace.words import BraidWord, parse_word, random_word
 # sha256 of the canonical_json documents of golden_words(), one per line,
 # as written before the in-package root solver replaced scipy's brentq
 GOLDEN_SHA256 = "a605741507d1f38ee49e94fafda26952df25d21d210bf8722771eab76e39b637"
-# sha256 of to_dot of golden_words(), each built and then reduced
-GOLDEN_DOT_SHA256 = "109364dd25deb45af2c041e27bbe2812ec5c0369249aa2c471c452c72f84d932"
+# sha256 of to_dot of golden_words(), each built and then reduced, recorded
+# when loop labels began to print the circle's dt_winding with its own sign
+GOLDEN_DOT_SHA256 = "42614cddc807363f041134b6d1fd7c94ce73ca87b128bf91ef7d74737aa8cfe5"
 
 
 def _put(value, *path):
@@ -228,15 +230,22 @@ class TestDocuments:
             (_put(9, "edges", 0, "level"), "edge 0: level holds 9, not a level in 1..2"),
             (_put([1, 2], "circles", 0, "comp_pair"),
              "circle 0: comp_pair holds 2, not a component in 1..1"),
+            (_put(-0.01, "vertices", 0, "z"), r"vertex 0: z lies outside \[-1e-09, 1.000000001\]"),
+            (_put(6.3, "vertices", 0, "t"), r"vertex 0: t lies outside \[-1e-09, 6.28318530818\]"),
+            (_put(1e308, "edges", 0, "dt"), r"edge 0: dt lies outside \[-169.646003294, "),
+            (_put(10**400, "edges", 0, "dz"), r"edge 0: dz lies outside \[-9, 9\]"),
         ],
         ids=[
             "nan-z", "inf-t", "inf-dz", "minus-inf-dt", "n", "letter-index", "letter-sign",
             "strands", "tail_pair", "head_pair", "over_under", "level-0", "level-9", "comp_pair",
+            "z", "t", "huge-dt", "huge-int-dz",
         ],
     )
     def test_out_of_range_refused(self, corrupt, message):
         # the B3 word s1 s2 closes to one component; JSON reads NaN and
-        # Infinity (and 1e400 as inf), so the loaded document can hold them
+        # Infinity (and 1e400 as inf), so the loaded document can hold them;
+        # a finite dt of 1e308 kept isotopic(g, g) running for minutes, and
+        # an integer dz of 10**400 overflowed it
         g = build_trace_graph(parse_word("s1 s2", 3))
         doc = corrupt(json.loads(canonical_json(graph_to_document(g))))
         with pytest.raises(SchemaError, match=message):
@@ -265,6 +274,15 @@ class TestDocuments:
         with pytest.raises(ValueError, match="built without strand paths"):
             read_word_at(loaded, 0.0)
 
+    def test_built_and_reduced_documents_load(self):
+        # the coordinate and displacement bounds leave room for real graphs
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            for h in (g, eq.reduce(g)):
+                text = canonical_json(graph_to_document(h))
+                loaded = document_to_graph(json.loads(text))
+                assert canonical_json(graph_to_document(loaded)) == text, w
+
     def test_golden_bytes(self):
         h = hashlib.sha256()
         for w in golden_words():
@@ -282,6 +300,21 @@ class TestDocuments:
             g = build_trace_graph(w)
             h.update(to_dot(g).encode() + to_dot(eq.reduce(g)).encode())
         assert h.hexdigest() == GOLDEN_DOT_SHA256
+
+    def test_dot_loop_labels_carry_dt_winding(self):
+        # each vertex-free loop is labelled with its circle's dt_winding,
+        # sign included, in circle id order
+        turning = 0
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            for h in (g, eq.reduce(g)):
+                loops = [
+                    c for _, c in sorted(h.circles.items()) if h.edges[c.edges[0]].tail is None
+                ]
+                labels = re.findall(r",dt_winding=(-?[0-9]+)\)", to_dot(h))
+                assert labels == [str(c.dt_winding) for c in loops], w
+                turning += sum(c.dt_winding != 0 for c in loops)
+        assert turning
 
 
 class TestWriter:
