@@ -141,7 +141,11 @@ def _pairing_carries(g: TraceGraph, s: lv.LevelSubgraph, mirror: set[int]) -> bo
     onto the level whose edges are `mirror`: a bijection of the edges that
     maps tails and heads through the vertex pairing and loops to loops,
     keeps every vertex's below and above order within the level, and keeps
-    every edge's dz and dt within 1e-9 (so every cycle's class)."""
+    every edge's dz and dt within 1e-9 (so every cycle's class).  It
+    compares displacements, not the edges' integer lift classes, because
+    the pairing swaps each t0 lift with its t0 + pi partner: a partner
+    edge's class is the edge's plus (0, (sigma(head) - sigma(tail))/2),
+    sigma being +1 at a t0 lift and -1 at a t0 + pi lift."""
     ep, vp = g.edge_partner, g.vertex_partner
     if len(s.edges) != len(mirror):
         return False

@@ -16,15 +16,14 @@ double the direct computation gives:
 - `_vertex_tile` holds a letter's triple vertices as read from
   `letter_geometry`; its z offset (1 + s)/3 and second lift t0 + pi are
   the expressions the direct computation evaluates.  It also holds each
-  pass's level: the level of its ordered pair on the edge that leaves the
-  vertex upward.  Levels change only at vertices, so after a pair's last
-  pass in a window that is `_resting_level` at the slots after the window,
-  and between two trisecants of the moving pair it is the x-rank midway.
+  pass's level, the level of its ordered pair on the edge that leaves the
+  vertex upward, and its visit end (below).  Levels change only at
+  vertices, so after a pair's last pass in a window that is
+  `_resting_level` at the slots after the window, and between two
+  trisecants of the moving pair it is the x-rank midway.
 - `LetterGeometry.sight_angles` holds the direction from a spectator slot
-  to a mover at s = 0 and s = 1.  A pass that reaches a window's start or
-  end has s = (ws - ws)/(we - ws) = 0.0 or (we - ws)/(we - ws) = 1.0 with
-  no rounding, so the constant is the value the same expression gives
-  there.
+  to a mover at s = 0 and s = 1, the value the same expression gives at
+  the window's start and end.
 - `_resting_level`: outside every exchange window each track rests at a
   slot point, so the level of a pair there is an integer function of
   (n, slot of a, slot of b).
@@ -33,11 +32,13 @@ double the direct computation gives:
   window has a trisecant with each spectator, and its two lifts pass every
   ordered pair of the three tracks), so an edge spans at most the end of
   its tail's window and the start of its head's, and a vertex-free circle
-  never moves (dt 0.0).  `_visit_end` reads a visit's s from its walk
-  coordinate and evaluates one `eta(s)` or sight angle for both edges at
-  the visit.  An edge across windows adds its tail's part and its head's
-  part; one inside a window joins two trisecants of the moving pair and
-  takes the difference of their angles.  On two strands there are no
+  never moves (dt 0.0).  A pass's visit end is read at its trisecant's
+  own s: its angle (`eta(s)` for the moving pair, the sight angle from the
+  spectator slot for a mover-spectator pair) and the t-displacements from
+  the window's start to the vertex and from the vertex to the window's
+  end.  An edge across windows adds its tail's part and its head's part;
+  one inside a window joins two trisecants of the moving pair and takes
+  the difference of their angles.  On two strands there are no
   vertices, and every window turns a loop by its letter's sign * pi.
 
 Fibers are read from tiles of the same kind.  `_fiber_tile(n, slot, sign,
@@ -58,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import embedding as emb
 from .embedding import (
@@ -84,8 +85,7 @@ class SingularFiberError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Marking:
+class Marking(NamedTuple):
     """Trace-circle marking (i,j)[k] by ordered closure components.
 
     For i == j, k is the well-defined index difference along the component;
@@ -193,12 +193,15 @@ class TraceGraph:
 
 @dataclass
 class _Visit:
-    z: float                 # pass z while collecting, walk z on circles
+    z: float                 # of the vertex
     vertex: int
-    slope: float
     pair: tuple[int, int]    # ordered track pair of the pass
     m: int                   # the exchange window (letter) of the vertex
+    slope: float
     level: int               # of the pair on the edge leaving upward
+    angle: float             # eta or sight angle at the vertex's s
+    dt_in: float             # t-displacement from the window's start to the vertex
+    dt_out: float            # and from the vertex to the window's end
 
 
 def build_trace_graph(w: BraidWord) -> TraceGraph:
@@ -223,11 +226,9 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             z_star = (m + z_in_slab) / l
             for t_star, y_order, passes in lifts:
                 vertices[vid] = TraceVertex(vid, z_star, t_star, y_order(tracks), m, spectator_slot)
-                for top, low, slope, level in passes:
+                for top, low, *end in passes:
                     pair = (tracks[top], tracks[low])
-                    pass_visits.setdefault(pair, []).append(
-                        _Visit(z_star, vid, slope, pair, m, level)
-                    )
+                    pass_visits.setdefault(pair, []).append(_Visit(z_star, vid, pair, m, *end))
                 vid += 1
             vertex_partner[vid - 2] = vid - 1
             vertex_partner[vid - 1] = vid - 2
@@ -240,7 +241,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
     circles: dict[int, TraceCircle] = {}
     edges: dict[int, TraceEdge] = {}
     pass_circle: dict[tuple[int, int], int] = {}
-    circle_visits: dict[int, list[_Visit]] = {}
+    circle_visits: dict[int, list[tuple[float, _Visit]]] = {}  # (walk z, visit)
 
     cid = 0
     eid = 0
@@ -257,10 +258,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             if cur == start:
                 break
 
-        visits: list[_Visit] = []
-        for p, pair in enumerate(orbit):
-            for vv in pass_visits.get(pair, ()):
-                visits.append(_Visit(p + vv.z, vv.vertex, vv.slope, vv.pair, vv.m, vv.level))
+        visits = [(p + vv.z, vv) for p, pair in enumerate(orbit) for vv in pass_visits.get(pair, ())]
         circle_visits[cid] = visits
 
         diff, marking = markings[start]
@@ -283,24 +281,21 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
             eid += 1
         else:
             K = len(visits)
-            ends = [_visit_end(paths, l, vv) for vv in visits]
             dt_sum = 0.0
             for k in range(K):
-                src = visits[k]
-                dst = visits[(k + 1) % K]
-                window, angle, _, tail = ends[k]
-                dst_window, dst_angle, head, _ = ends[(k + 1) % K]
+                src_z, src = visits[k]
+                dst_z, dst = visits[(k + 1) % K]
                 if k + 1 < K:
-                    dz = dst.z - src.z
+                    dz = dst_z - src_z
                 else:
-                    dz = total - src.z + dst.z
-                if k + 1 < K and window == dst_window:
+                    dz = total - src_z + dst_z
+                if k + 1 < K and (int(src_z), src.m) == (int(dst_z), dst.m):
                     # two trisecants of the moving pair, whose turn is < pi
-                    dt = 0.0 + -(dst_angle - angle)
+                    dt = 0.0 + -(dst.angle - src.angle)
                 else:
                     # no window where the pair moves lies between the two
                     # visits (module docstring)
-                    dt = 0.0 + tail + head
+                    dt = 0.0 + src.dt_out + dst.dt_in
                 edges[eid] = TraceEdge(
                     eid, src.vertex, dst.vertex, dz, dt, src.level, cid, comp_pair,
                     tail_pair=src.pair, head_pair=dst.pair,
@@ -320,7 +315,7 @@ def build_trace_graph(w: BraidWord) -> TraceGraph:
     for c in circles.values():
         visits = circle_visits[c.id]
         K = len(visits)
-        for k, vv in enumerate(visits):
+        for k, (_, vv) in enumerate(visits):
             incid[vv.vertex].append((vv.slope, c.edges[(k - 1) % K], c.edges[k]))
     for vkey, items in incid.items():
         v = vertices[vkey]
@@ -437,15 +432,26 @@ def _vertex_tile(n: int, slot: int, sign: int) -> tuple:
     strands named by index into (u, v, spectator): per trisecant, the
     spectator slot, the z offset in the slab in units of the slab, and for
     each time lift (t0, then t0 + pi) its t, a getter of its strands by
-    decreasing rotated y, and the (top, low, slope, level) of its three
-    passes, the level being that of the pass's ordered pair on the edge
-    leaving the vertex upward."""
+    decreasing rotated y, and the (top, low, slope, level, angle, dt_in,
+    dt_out) of its three passes.  The level is that of the pass's ordered
+    pair on the edge leaving the vertex upward; the rest is the pass's
+    visit end at the trisecant's s: its angle, and the t-displacements from
+    the window's start to the vertex and from the vertex to the window's
+    end.  The moving pair's direction `eta` turns by -sign * pi over the
+    window, and the sight-line cone is narrower than pi, so a
+    mover-spectator part is the principal wrap of its turn."""
     geom = letter_geometry(n, slot, sign)
     name = {"u": 0, "v": 1, "spec": 2}
     events = geom.trisecants  # increasing s
     tile = []
     for k, ev in enumerate(events):
         slope = {frozenset(name[x] for x in key): val for key, val in ev.slopes.items()}
+        e = geom.eta(ev.s)
+        end = {frozenset((0, 1)): (e, -e, -(-sign * math.pi - e))}
+        for x, sym in enumerate("uv"):
+            theta = geom._sight_angle(sym, ev.spectator_slot, ev.s)
+            start, stop = geom.sight_angles[sym, ev.spectator_slot]
+            end[frozenset((x, 2))] = (theta, -wrap_pm_pi(theta - start), -wrap_pm_pi(stop - theta))
         s_next = events[k + 1].s if k + 1 < len(events) else None
         after = (slot + 1, slot, ev.spectator_slot)  # resting slots after the window
         order0 = tuple(name[x] for x in ev.y_order_t0)
@@ -453,7 +459,8 @@ def _vertex_tile(n: int, slot: int, sign: int) -> tuple:
         for t_star, order in ((ev.t0, order0), (ev.t0 + math.pi, order0[::-1])):
             top, mid, low = order
             passes = tuple(
-                (x, y, slope[frozenset((x, y))], _pass_level(geom, after, x, y, ev.s, s_next))
+                (x, y, slope[frozenset((x, y))], _pass_level(geom, after, x, y, ev.s, s_next),
+                 *end[frozenset((x, y))])
                 for x, y in ((top, mid), (mid, low), (top, low))
             )
             lifts.append((t_star, itemgetter(*order), passes))
@@ -497,37 +504,6 @@ def _round_winding(dt: float, what: str) -> int:
     if abs(w - r) > 1e-6:
         raise GenericityError(f"t-displacement of {what} is not a 2*pi multiple: {dt}")
     return r
-
-
-def _visit_end(paths: StrandPathSet, l: int, vv: _Visit) -> tuple:
-    """The ends of a circle visit's exchange window, read once per visit:
-    ((pass, window), its angle, the t-displacement from the window's start
-    to the visit, and from the visit to the window's end).
-
-    The angle is `eta(s)` for a moving pair and the sight angle from the
-    spectator slot for a mover-spectator pair, with s read from the walk
-    coordinate; a window end is the tile constant for s = 0 or 1.  The
-    moving pair's direction turns by sign * pi over the window, and the
-    sight-line cone is narrower than pi, so a mover-spectator part is the
-    principal wrap of its turn.  A visit on the end of its window raises
-    GenericityError."""
-    p, m = int(vv.z), vv.m
-    ws, we = m / l + 1 / (3 * l), m / l + 2 / (3 * l)  # paths.window(m)
-    s = (vv.z - p - ws) / (we - ws)
-    if not 0.0 < s < 1.0:
-        raise GenericityError(f"vertex {vv.vertex} lies on the end of exchange window {m}")
-    geom = paths.geoms[m]
-    mv = paths.movers(m)
-    a, b = vv.pair
-    if a in mv and b in mv:
-        e = geom.eta(s)
-        return (p, m), e, -e, -(-geom.sign * math.pi - e)
-    mover_track, other = (a, b) if a in mv else (b, a)
-    sym = "u" if mover_track == mv[0] else "v"
-    slot = paths.pos_of[m][other - 1]
-    theta = geom._sight_angle(sym, slot, s)
-    start, end = geom.sight_angles[sym, slot]
-    return (p, m), theta, -wrap_pm_pi(theta - start), -wrap_pm_pi(end - theta)
 
 
 def _level_at(n: int, slots, pos, a: int, b: int, z: float) -> int:

@@ -854,11 +854,14 @@ def wide_words():
     return [random_word(n, l, rng) for n in (7, 8) for l in (3, 8, 16) for _ in range(2)]
 
 
-def full_scan_delta_t(paths, orbit, w1: float, w2: float) -> float:
+def full_scan_delta_t(paths, orbit, w1: float, w2: float, tail=None, head=None) -> float:
     """The t-displacement along a circle between walk coordinates w1 <= w2
     (walk = pass index + z), summed over every exchange window near each
     pass in increasing m.  The builder reads each edge's dt from the ends
-    of the windows that hold its two visits."""
+    of the windows that hold its two visits.  `tail` and `head`, each
+    (pass index, window, s), name the windows of an edge's tail and head
+    visits: the scan starts the tail's window and stops the head's at that
+    vertex's trisecant s, not at the s read back from w1 or w2."""
     l = paths.length
     if l == 0 or w1 >= w2:
         return 0.0
@@ -880,6 +883,10 @@ def full_scan_delta_t(paths, orbit, w1: float, w2: float) -> float:
                 continue
             s1 = max((max(lo, ws) - ws) / (we - ws), 0.0)
             s2 = min((min(hi, we) - ws) / (we - ws), 1.0)
+            if tail is not None and (p, m) == tail[:2]:
+                s1 = tail[2]
+            if head is not None and (p, m) == head[:2]:
+                s2 = head[2]
             geom = paths.geoms[m]
             if a in mv and b in mv:
                 total += moving_pair_delta_t(geom, s1, s2)

@@ -81,10 +81,10 @@ def decision_rendering() -> list[str]:
     return sorted(lines)
 
 
-# sha256 of reduced_bytes(), recorded when the splice began to level the
-# loops it closes, which changed the single elimination on the B8 word
-# s1 s7^-1 s5 s4 s5^-1 s4^-1 s1^-1 s4^-1 and no reduced document
-REDUCED_BYTES_SHA256 = "036b5a1d2f0f35bd329816f055e914de24cb586205e46bbb339c2eaabe292bac"
+# sha256 of reduced_bytes(), recorded when the builder began to read each
+# visit end at its vertex's own trisecant s, which moved edge dt (and the
+# dt a splice sums) in the written digits and no other field
+REDUCED_BYTES_SHA256 = "fbd0be1ac15f2ee4a2bf67d925b7545b657a5a3d18c13033024c2296efe6eed5"
 
 
 def reduced_bytes() -> str:

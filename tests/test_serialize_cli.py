@@ -28,8 +28,9 @@ from braidtrace.tracegraph import build_trace_graph, read_word_at
 from braidtrace.words import BraidWord, parse_word, random_word
 
 # sha256 of the canonical_json documents of golden_words(), one per line,
-# as written before the in-package root solver replaced scipy's brentq
-GOLDEN_SHA256 = "a605741507d1f38ee49e94fafda26952df25d21d210bf8722771eab76e39b637"
+# recorded when the builder began to read each visit end at its vertex's
+# own trisecant s, which moved edge dt in the written digits
+GOLDEN_SHA256 = "9894c52420b96545b43b363d0f51b88a4e1b2903a3646157599428a98f8f7c92"
 # sha256 of to_dot of golden_words(), each built and then reduced, recorded
 # when loop labels began to print the circle's dt_winding with its own sign
 GOLDEN_DOT_SHA256 = "42614cddc807363f041134b6d1fd7c94ce73ca87b128bf91ef7d74737aa8cfe5"

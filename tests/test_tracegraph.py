@@ -23,7 +23,13 @@ from helpers import (
 from braidtrace import equivalence as eq
 from braidtrace import oracle
 from braidtrace.checks import _injectivity_samples, run_structure_checks
-from braidtrace.embedding import GenericityError, strand_paths, wrap_pm_pi
+from braidtrace.embedding import (
+    GenericityError,
+    LetterGeometry,
+    letter_geometry,
+    strand_paths,
+    wrap_pm_pi,
+)
 from braidtrace.tracegraph import (
     Marking,
     SingularFiberError,
@@ -42,9 +48,10 @@ from braidtrace.words import (
 )
 
 # sha256 over float.hex of every vertex z, t and edge dz, dt (with the edge
-# level) of golden_words() and wide_words(), as built before the builder
-# read tile constants and visited only the windows where a track moves
-GOLDEN_FLOATS_SHA256 = "9ac89c9cf4ad8c4988ae4479058e131e3443e879238cec36dfef7b07edc72de1"
+# level) of golden_words() and wide_words(), recorded when the builder began
+# to read each visit end at its vertex's own trisecant s, which moved edge
+# dt in the last bits and no other field
+GOLDEN_FLOATS_SHA256 = "82a5066316e65d8efd63fcf2a983ebe60bfe394de628aeced57441e7c96d6649"
 
 
 def builder_floats_digest(words) -> str:
@@ -166,6 +173,12 @@ class TestCircles:
             assert mine == reference_markings(g), w
 
 
+def trisecant_s(w, v) -> float:
+    """The window parameter of the trisecant behind vertex v of w's build."""
+    geom = letter_geometry(w.n, *w.letters[v.letter])
+    return next(ev.s for ev in geom.trisecants if ev.spectator_slot == v.spectator_slot)
+
+
 class TestBuilderFloats:
     def test_golden_floats(self):
         assert builder_floats_digest(golden_words() + wide_words()) == GOLDEN_FLOATS_SHA256
@@ -183,14 +196,33 @@ class TestBuilderFloats:
                     if e.tail is None:
                         want = full_scan_delta_t(g.paths, orbit, 0.0, total)
                     else:
-                        w1 = orbit.index(e.tail_pair) + g.vertices[e.tail].z
-                        w2 = orbit.index(e.head_pair) + g.vertices[e.head].z
+                        tv, hv = g.vertices[e.tail], g.vertices[e.head]
+                        p1, p2 = orbit.index(e.tail_pair), orbit.index(e.head_pair)
+                        w1, w2 = p1 + tv.z, p2 + hv.z
+                        # the windows of the two visits end at the vertices' own s
+                        tail = (p1, tv.letter, trisecant_s(w, tv))
+                        head = (p2, hv.letter, trisecant_s(w, hv))
                         if eid == edge_ids[-1]:
-                            want = (full_scan_delta_t(g.paths, orbit, w1, total)
-                                    + full_scan_delta_t(g.paths, orbit, 0.0, w2))
+                            want = (full_scan_delta_t(g.paths, orbit, w1, total, tail=tail)
+                                    + full_scan_delta_t(g.paths, orbit, 0.0, w2, head=head))
                         else:
-                            want = full_scan_delta_t(g.paths, orbit, w1, w2)
+                            want = full_scan_delta_t(g.paths, orbit, w1, w2, tail, head)
                     assert e.dt.hex() == want.hex(), (w, eid)
+
+    def test_builder_reads_only_tiles(self, monkeypatch):
+        # once a word's letter tiles are warm, a build evaluates no letter
+        # geometry: each visit is read at its vertex's own s from the tile
+        words = golden_words()
+        for w in words:
+            build_trace_graph(w)
+
+        def refuse(*args):
+            raise AssertionError("a build evaluated letter geometry")
+
+        for name in ("eta", "_sight_angle", "u", "v"):
+            monkeypatch.setattr(LetterGeometry, name, refuse)
+        for w in words:
+            build_trace_graph(w)
 
     def test_levels_match_the_track_scan(self):
         # outside every exchange window each track rests at a slot point, and
