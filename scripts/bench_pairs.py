@@ -3,10 +3,13 @@
 alternating pairs of runs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR [--pairs 10] [--seed 5] [--seconds 28]
+        [--workload NAME ...]
 
 Each pair runs the benchmark command of PARENT_DIR's BENCHMARK.json
 (`perfbench/run.py`, untraced) once in each checkout on every workload it
-names; the side that runs first alternates from pair to pair.  For each
+names, or only on the workloads given by `--workload` (repeatable: with
+`--workload conj3` the pairs take about a third of the time of all
+three workloads); the side that runs first alternates from pair to pair.  For each
 workload and end-to-end metric the table gives both medians, the parent's
 quartiles q1-q3, and the number of pairs in which the change read better
 (ties count for neither side).  A metric reads
@@ -78,10 +81,18 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=28.0)
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run only this workload (repeatable; default: every workload)")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload:
+        unknown = sorted(set(args.workload) - set(workloads))
+        if unknown:
+            ap.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json names "
+                     f"{', '.join(workloads)}")
+        workloads = [w for w in workloads if w in args.workload]
     metrics = spec["end_to_end"]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     # results[workload][side] -> one result object (or None) per pair

@@ -18,6 +18,7 @@ from .words import (
     invert,
     is_pure,
     linking_number,
+    linking_numbers,
     parse_word,
     permutation,
     power,

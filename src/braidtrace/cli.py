@@ -16,7 +16,7 @@ from . import threebraid as tb
 from .checks import run_structure_checks
 from .serialize import canonical_json, document_to_graph, graph_to_document, to_dot
 from .tracegraph import build_trace_graph
-from .words import BraidWord, cycle_structure, is_pure, linking_number, parse_word
+from .words import BraidWord, cycle_structure, is_pure, linking_numbers, parse_word
 
 
 def _parse(args) -> BraidWord:
@@ -74,19 +74,21 @@ def cmd_conj3(args) -> int:
     # conjugate_3braids raises when the exact check disagrees with its verdict
     res = tb.conjugate_3braids(a, b)
     print(f"verdict: {res.verdict.value}")
-    if res.relabeling:
+    if res:
         print(f"witness relabeling: {res.relabeling} (power {res.power})")
+    else:
+        print(f"first difference: {res.mismatch}")
     print("exact B3 cross-check (Z/2 * Z/3 normal form and exponent sum): agrees")
     return 0 if res else 1
 
 
 def cmd_invariants(args) -> int:
     w = _parse(args)
-    cs = cycle_structure(w)
-    m = cs.num_components
+    m = cycle_structure(w).num_components
+    lk = linking_numbers(w)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            print(f"lk_{i}{j} = {linking_number(w, i, j)}")
+            print(f"lk_{i}{j} = {lk[i, j]}")
     if w.n == 3 and is_pure(w):
         for pair in ((1, 2), (1, 3), (2, 3)):
             col = tb.cyclic_invariant(w, pair)

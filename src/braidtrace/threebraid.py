@@ -12,8 +12,22 @@ by a lift of the permutation pi only renames the closure's components
 (component j of the conjugate is component pi(j) of p), and the linking
 number and the column are invariants of the ordered closure.  So the
 conjugate's invariants are exactly those of components pi(1), pi(2) in
-p's own reduced graph, with pi(j) renamed j.  Every decision is checked
-against the exact B_3 conjugacy test `oracle.conjugate_b3`.
+p's own reduced graph, with pi(j) renamed j.
+
+`conjugate_3braids` tests the cheapest sound invariants first and names
+the first one that differs on a negative verdict:
+
+1. cycle type: conjugate braids induce conjugate permutations;
+2. linking numbers: the three pairwise linking numbers of the pure powers,
+   read in one pass over each word; a relabeling whose triple differs
+   cannot match the profile of gate 3, because that profile classifies
+   the ordered closure and linking numbers are invariants of it;
+3. cyclic column: the profile read from the reduced trace graphs, for the
+   relabelings that passed gate 2 only, so a decision that stops at gate 1
+   or 2 builds no graph.
+
+Every decision is checked against the exact B_3 conjugacy test
+`oracle.conjugate_b3`.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from .words import (
     free_reduce,
     is_pure,
     linking_number,
+    linking_numbers,
     power,
     pure_power_exponent,
 )
@@ -95,9 +110,10 @@ def cyclic_invariant(w: BraidWord, pair: tuple[int, int] = (1, 2)) -> TripletCol
     return _column(w, pair, {1: 1, 2: 2, 3: 3})
 
 
-# One decision reads two reduced graphs, b's power once and a's power under
-# up to six relabelings; repeats across decisions are rare, so two entries
-# keep the hits without holding thousands of graphs.
+# A decision reads 0 or 2 reduced graphs: none when the cycle type or the
+# linking numbers already differ, else b's power once and a's power under
+# each relabeling that passed the linking gate; repeats across decisions are
+# rare, so two entries keep the hits without holding thousands of graphs.
 @lru_cache(maxsize=2)
 def _reduced_graph_cached(letters: tuple[tuple[int, int], ...]):
     g = build_trace_graph(BraidWord(3, letters))
@@ -146,6 +162,9 @@ class Conjugacy3Result:
     verdict: Verdict
     relabeling: Optional[tuple[int, ...]] = None  # witness permutation of components
     power: int = 1
+    # on FALSE, the first gate that differed: "cycle type", "linking
+    # numbers" or "cyclic column"; None on TRUE
+    mismatch: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.verdict is Verdict.TRUE
@@ -155,28 +174,48 @@ class Conjugacy3Result:
 _PERMUTATIONS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1))
 
 
+def _linking_triple(lk: dict, perm: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(lk_12, lk_13, lk_23) of the conjugate of a pure 3-braid by a lift of
+    perm, from the braid's own linking numbers lk."""
+    p0, p1, p2 = perm
+    return lk[p0, p1], lk[p0, p2], lk[p1, p2]
+
+
 def conjugate_3braids(a: BraidWord, b: BraidWord) -> Conjugacy3Result:
     """Conjugacy decision for arbitrary 3-braids.
 
     Braids are conjugate exactly when a common pure power is (Gonzalez-Meneses
-    2003), so both are raised to the order of their permutations and the
-    pure ordered test runs against every component relabeling of a's power,
-    read from its one reduced graph, in the order of the positive lifts 1,
-    s1, s2, s1 s2, s2 s1, s1 s2 s1; the first match is the witness.  Every
-    verdict is checked against `oracle.conjugate_b3`; a disagreement raises
+    2003), so both are raised to the order of their permutations, after the
+    cycle types were found equal.  The relabelings of a's power are taken in
+    the order of the positive lifts 1, s1, s2, s1 s2, s2 s1, s1 s2 s1, and
+    only those under which its three linking numbers equal those of b's
+    power are kept; no reduced graph is built unless one is kept.  The pure
+    ordered test then runs against each kept relabeling, read from a's one
+    reduced graph; the first match is the witness.  A relabeling dropped by
+    the linking gate cannot match, since linking numbers are invariants of
+    the ordered closure, so the witness is the first match over all six.
+    A FALSE result names the first gate that differed.  Every verdict is
+    checked against `oracle.conjugate_b3`; a disagreement raises
     RuntimeError.
     """
     if a.n != 3 or b.n != 3:
         raise ValueError("conjugate_3braids works in B_3")
-    result = Conjugacy3Result(Verdict.FALSE)
+    result = Conjugacy3Result(Verdict.FALSE, mismatch="cycle type")
     if tuple(sorted(cycle_structure(a).lengths)) == tuple(
         sorted(cycle_structure(b).lengths)
     ):
         k = math.lcm(pure_power_exponent(a), pure_power_exponent(b))
         pa = free_reduce(power(a, k))
-        prof_b = _profile(free_reduce(power(b, k)))
-        perm = next((p for p in _PERMUTATIONS if _profile(pa, p) == prof_b), None)
-        result = Conjugacy3Result(Verdict.TRUE if perm else Verdict.FALSE, perm, k)
+        pb = free_reduce(power(b, k))
+        lk_a, lk_b = linking_numbers(pa), linking_numbers(pb)
+        target = lk_b[1, 2], lk_b[1, 3], lk_b[2, 3]
+        kept = [p for p in _PERMUTATIONS if _linking_triple(lk_a, p) == target]
+        perm, mismatch = None, "linking numbers"
+        if kept:
+            prof_b = _profile(pb)
+            perm = next((p for p in kept if _profile(pa, p) == prof_b), None)
+            mismatch = None if perm else "cyclic column"
+        result = Conjugacy3Result(Verdict.TRUE if perm else Verdict.FALSE, perm, k, mismatch)
     exact = oracle.conjugate_b3(a, b)
     if bool(result) != exact:
         raise RuntimeError(

@@ -189,21 +189,37 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(s for _, s in w.letters)
 
 
-def linking_number(w: BraidWord, i: int, j: int) -> int:
-    """Linking number of closure components i and j (i != j): half the signed
-    sum of crossings between strands of the two components."""
+def linking_numbers(w: BraidWord) -> dict[tuple[int, int], int]:
+    """Linking numbers of every ordered pair (i, j) of distinct closure
+    components, read in one walk over the word: half the signed sum of the
+    crossings between strands of the two components (symmetric in i, j)."""
     cs = cycle_structure(w)
-    if i == j or not (1 <= i <= cs.num_components and 1 <= j <= cs.num_components):
-        raise ValueError(f"invalid component pair ({i}, {j}) for {cs.num_components} components")
-    total = 0
-    occ = list(range(1, w.n + 1))
+    comp = cs.component_of
+    m = cs.num_components
+    totals = [[0] * (m + 1) for _ in range(m + 1)]
+    occ = list(range(w.n))
     for k, sign in w.letters:
-        a, b = occ[k - 1], occ[k]
-        if {cs.component_of[a - 1], cs.component_of[b - 1]} == {i, j}:
-            total += sign
+        a, b = comp[occ[k - 1]], comp[occ[k]]
+        if a != b:
+            totals[a][b] += sign
         occ[k - 1], occ[k] = occ[k], occ[k - 1]
-    assert total % 2 == 0, "mixed crossing sum of distinct closed components must be even"
-    return total // 2
+    lk = {}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            total = totals[i][j] + totals[j][i]
+            assert total % 2 == 0, "mixed crossing sum of distinct closed components must be even"
+            lk[i, j] = lk[j, i] = total // 2
+    return lk
+
+
+def linking_number(w: BraidWord, i: int, j: int) -> int:
+    """Linking number of closure components i and j (i != j), read from
+    `linking_numbers`."""
+    lk = linking_numbers(w)
+    if (i, j) not in lk:
+        m = cycle_structure(w).num_components
+        raise ValueError(f"invalid component pair ({i}, {j}) for {m} components")
+    return lk[i, j]
 
 
 def concatenate(a: BraidWord, b: BraidWord) -> BraidWord:

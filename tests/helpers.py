@@ -29,7 +29,10 @@ checked against the forms that read every level, every pair's track
 positions and every letter afresh.  Reduction is checked against its
 earlier form, which took each removed edge out of the pair index in turn,
 ordered pairs by their rounded vertex coordinates and levelled the loops
-it closed in a pass after the loop.
+it closed in a pass after the loop.  The one-pass linking table is checked
+against a walk of the word per component pair, and the gated 3-braid
+decision against the decision that reads the profile under every
+relabeling.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from typing import Iterator, Optional
 
 from braidtrace import equivalence as eq
 from braidtrace import levels as lv
+from braidtrace import threebraid as tb
 from braidtrace.embedding import (
     GenericityError,
     crossing_time,
@@ -78,7 +82,9 @@ from braidtrace.words import (
     exponent_sum,
     free_reduce,
     invert,
-    linking_number,
+    linking_numbers,
+    power,
+    pure_power_exponent,
     random_word,
 )
 
@@ -626,9 +632,7 @@ def _canonical_linking_numbers(w: BraidWord) -> tuple[int, ...]:
     InvariantScreen."""
     cs = cycle_structure(w)
     labels = range(1, cs.num_components + 1)
-    lk = {}
-    for i, j in itertools.combinations(labels, 2):
-        lk[i, j] = lk[j, i] = linking_number(w, i, j)
+    lk = linking_numbers(w)
     by_length = sorted(cs.lengths)
     return min(
         tuple(lk[a, b] for a, b in itertools.combinations(order, 2))
@@ -749,12 +753,48 @@ RELABEL_WORDS = (
 )
 
 
+def rebuilt_conjugate(p: BraidWord, rho_letters) -> BraidWord:
+    """free_reduce(rho p rho^-1) for the 3-braid rho with the given letters."""
+    rho = BraidWord(3, rho_letters)
+    return free_reduce(concatenate(concatenate(rho, p), invert(rho)))
+
+
 def rebuilt_profile(p: BraidWord, rho_letters) -> tuple:
     """Linking number and canonical (1,2) column of free_reduce(rho p rho^-1),
     read from the conjugate's own reduced graph."""
-    rho = BraidWord(3, rho_letters)
-    cand = free_reduce(concatenate(concatenate(rho, p), invert(rho)))
-    return linking_number(cand, 1, 2), cyclic_invariant(cand).canonical
+    cand = rebuilt_conjugate(p, rho_letters)
+    return reference_linking_number(cand, 1, 2), cyclic_invariant(cand).canonical
+
+
+def reference_linking_number(w: BraidWord, i: int, j: int) -> int:
+    """Linking number of closure components i and j from a walk of the word
+    for that one pair: half the signed sum of crossings between strands of
+    the two components."""
+    cs = cycle_structure(w)
+    if i == j or not (1 <= i <= cs.num_components and 1 <= j <= cs.num_components):
+        raise ValueError(f"invalid component pair ({i}, {j}) for {cs.num_components} components")
+    total = 0
+    occ = list(range(1, w.n + 1))
+    for k, sign in w.letters:
+        a, b = occ[k - 1], occ[k]
+        if {cs.component_of[a - 1], cs.component_of[b - 1]} == {i, j}:
+            total += sign
+        occ[k - 1], occ[k] = occ[k], occ[k - 1]
+    assert total % 2 == 0, "mixed crossing sum of distinct closed components must be even"
+    return total // 2
+
+
+def reference_conjugate_3braids(a: BraidWord, b: BraidWord) -> "tb.Conjugacy3Result":
+    """The 3-braid decision without the linking gate: after the cycle-type
+    gate, the profile of b's pure power against a's under every relabeling,
+    in the order of the positive lifts; no oracle cross-check."""
+    if sorted(cycle_structure(a).lengths) != sorted(cycle_structure(b).lengths):
+        return tb.Conjugacy3Result(tb.Verdict.FALSE)
+    k = math.lcm(pure_power_exponent(a), pure_power_exponent(b))
+    pa = free_reduce(power(a, k))
+    prof_b = tb._profile(free_reduce(power(b, k)))
+    perm = next((p for p in tb._PERMUTATIONS if tb._profile(pa, p) == prof_b), None)
+    return tb.Conjugacy3Result(tb.Verdict.TRUE if perm else tb.Verdict.FALSE, perm, k)
 
 
 def scanned_symmetry_involution(graph) -> dict[int, int]:

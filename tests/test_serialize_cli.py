@@ -479,6 +479,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "exact B3 cross-check" in out and "agrees" in out
 
+    @pytest.mark.parametrize(
+        "a,b,line",
+        [("s1", "s1 s2", "cycle type"), ("s1^2", "s1^4", "linking numbers"),
+         ("s1^3 s2^-3 s1 s2^-1", "s1^-1 s2", "cyclic column")],
+    )
+    def test_conj3_prints_first_difference(self, capsys, a, b, line):
+        assert cli.main(["conj3", "--a", a, "--b", b]) == 1
+        assert f"first difference: {line}\n" in capsys.readouterr().out
+
+    def test_conj3_true_names_no_difference(self, capsys):
+        assert cli.main(["conj3", "--a", "s1", "--b", "s2"]) == 0
+        assert "first difference" not in capsys.readouterr().out
+
     def test_conj3_oracle_depth_flag_is_gone(self):
         r = run_cli("conj3", "--a", "s1", "--b", "s2", "--oracle-depth", "4")
         assert r.returncode == 2

@@ -6,12 +6,15 @@ from helpers import (
     RELABEL_WORDS,
     conjugacy_classes_within_ball,
     random_rewrite,
+    rebuilt_conjugate,
     rebuilt_profile,
     reconstruct_partner_column,
+    reference_conjugate_3braids,
 )
 
 from braidtrace import cli
 from braidtrace import threebraid as tb
+from braidtrace.oracle import conjugate_b3
 from braidtrace.threebraid import (
     Verdict,
     conjugate_3braids,
@@ -22,10 +25,13 @@ from braidtrace.threebraid import (
 from braidtrace.words import (
     BraidWord,
     concatenate,
+    cycle_structure,
+    exponent_sum,
     free_reduce,
     invert,
     is_pure,
     iter_reduced_words,
+    linking_numbers,
     parse_word,
     permutation,
     power,
@@ -47,10 +53,9 @@ def conjugate(w, by):
     return free_reduce(concatenate(concatenate(by, w), invert(by)))
 
 
-def decision_rendering() -> list[str]:
-    """(verdict, relabeling, power) of every ordered pair of freely reduced
-    B3 words of length <= 3, then of 300 seeded pairs of length 1-10, half
-    conjugate by construction."""
+def decision_pairs() -> list[tuple[BraidWord, BraidWord]]:
+    """Every ordered pair of freely reduced B3 words of length <= 3, then
+    300 seeded pairs of length 1-10, half conjugate by construction."""
     words = [w for l in range(4) for w in iter_reduced_words(3, l)]
     runs = [(a, b) for a in words for b in words]
     rng = random.Random(2713)
@@ -61,11 +66,31 @@ def decision_rendering() -> list[str]:
         else:
             b = random_word(3, rng.randint(1, 10), rng)
         runs.append((a, b))
-    lines = []
-    for a, b in runs:
-        r = conjugate_3braids(a, b)
-        lines.append(repr((r.verdict.value, r.relabeling, r.power)))
-    return lines
+    return runs
+
+
+def decision(r) -> tuple:
+    return r.verdict.value, r.relabeling, r.power
+
+
+def decision_rendering() -> list[str]:
+    """(verdict, relabeling, power) of every pair of decision_pairs()."""
+    return [repr(decision(conjugate_3braids(a, b))) for a, b in decision_pairs()]
+
+
+def non_conjugate_pairs(count: int = 300) -> list[tuple[BraidWord, BraidWord]]:
+    """Seeded B3 pairs of length 2-10 with equal exponent sums and cycle
+    types that the exact check calls non-conjugate."""
+    rng = random.Random(26)
+    pairs = []
+    while len(pairs) < count:
+        a = random_word(3, rng.randint(2, 10), rng)
+        b = random_word(3, rng.randint(2, 10), rng)
+        if (exponent_sum(a) == exponent_sum(b)
+                and sorted(cycle_structure(a).lengths) == sorted(cycle_structure(b).lengths)
+                and not conjugate_b3(a, b)):
+            pairs.append((a, b))
+    return pairs
 
 
 class TestMinimalRotation:
@@ -265,3 +290,53 @@ class TestReducedGraphCache:
         assert "C_23:" in capsys.readouterr().out
         info = tb._reduced_graph_cached.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+class TestLinkingGate:
+    """Linking numbers gate the relabelings before any trace graph is read."""
+
+    def test_ungated_decision_agrees_on_the_golden_pairs(self):
+        for a, b in decision_pairs():
+            got = conjugate_3braids(a, b)
+            assert decision(got) == decision(reference_conjugate_3braids(a, b)), (a, b)
+
+    def test_ungated_decision_agrees_on_non_conjugate_pairs(self):
+        by_column = 0
+        for a, b in non_conjugate_pairs():
+            got = conjugate_3braids(a, b)
+            assert decision(got) == decision(reference_conjugate_3braids(a, b)), (a, b)
+            lk_a, lk_b = (linking_numbers(free_reduce(power(w, got.power))) for w in (a, b))
+            kept = any(tb._linking_triple(lk_a, p) == (lk_b[1, 2], lk_b[1, 3], lk_b[2, 3])
+                       for p in tb._PERMUTATIONS)
+            assert got.mismatch == ("cyclic column" if kept else "linking numbers"), (a, b)
+            by_column += kept
+        # pairs that pass the linking gate keep the graph path covered
+        assert by_column > 0
+
+    def test_no_graph_when_linking_numbers_differ(self):
+        tb._reduced_graph_cached.cache_clear()
+        res = conjugate_3braids(parse_word("s1^2", 3), parse_word("s1^4", 3))
+        assert (res.verdict, res.mismatch) == (Verdict.FALSE, "linking numbers")
+        assert tb._reduced_graph_cached.cache_info().misses == 0
+
+    def test_triple_equals_linking_numbers_of_the_rebuilt_conjugate(self):
+        for p in TestRelabeledProfile.pure_words():
+            lk = linking_numbers(p)
+            for rho, perm in zip(RELABEL_WORDS, tb._PERMUTATIONS):
+                r = linking_numbers(rebuilt_conjugate(p, rho))
+                assert tb._linking_triple(lk, perm) == (r[1, 2], r[1, 3], r[2, 3]), (p, perm)
+
+    @pytest.mark.parametrize(
+        "a,b,mismatch",
+        [
+            ("s1", "s2", None),
+            ("s1", "s1 s2", "cycle type"),
+            ("s1^2", "s1^4", "linking numbers"),
+            ("s1^2 s2^2", "s1^2 s2^-2", "linking numbers"),
+            ("s1^3 s2^-3 s1 s2^-1", "s1^-1 s2", "cyclic column"),
+        ],
+    )
+    def test_a_negative_verdict_names_its_first_difference(self, a, b, mismatch):
+        res = conjugate_3braids(parse_word(a, 3), parse_word(b, 3))
+        assert res.mismatch == mismatch
+        assert (res.verdict is Verdict.TRUE) == (mismatch is None)

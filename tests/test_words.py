@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from helpers import reference_linking_number
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,10 +17,12 @@ from braidtrace.words import (
     is_pure,
     iter_reduced_words,
     linking_number,
+    linking_numbers,
     parse_word,
     permutation,
     power,
     pure_power_exponent,
+    random_word,
     subbraid,
 )
 
@@ -104,8 +109,28 @@ class TestLinking:
         assert linking_number(BraidWord(3), 1, 2) == 0
 
     def test_invalid_component(self):
-        with pytest.raises(ValueError):
-            linking_number(BraidWord(3), 1, 1)
+        for i, j in ((1, 1), (0, 1), (1, 4)):
+            with pytest.raises(ValueError, match="invalid component pair"):
+                linking_number(BraidWord(3), i, j)
+        with pytest.raises(ValueError, match="for 1 components"):
+            linking_number(parse_word("s1 s2", 3), 1, 2)
+
+    def test_table_equals_per_pair_walk(self):
+        rng = random.Random(26)
+        pure = 0
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            w = random_word(n, rng.randint(0, 12), rng)
+            if rng.random() < 0.5:
+                w = free_reduce(power(w, pure_power_exponent(w)))
+            m = cycle_structure(w).num_components
+            pure += m == n
+            expected = {
+                (i, j): reference_linking_number(w, i, j)
+                for i in range(1, m + 1) for j in range(1, m + 1) if i != j
+            }
+            assert linking_numbers(w) == expected, w
+        assert pure >= 100
 
     @given(words(3, 6))
     def test_invariant_under_free_reduction(self, w):
