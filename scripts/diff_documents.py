@@ -6,17 +6,21 @@
 Each checkout, in a fresh interpreter on its own `src/` and `tests/`,
 builds the golden and wide words of `tests/helpers.py` and `--words` B3-B8
 words of length 1-40 drawn from `random.Random(--seed)`, then reduces each
-graph in the default order and with `random.Random(3)`.  Every graph, built
-and reduced, is written as a canonical JSON document, and each word's
-verdict `isotopic(reduce(g), reduce(g, random.Random(3)))` is kept.
+graph in the default order and with `random.Random(3)`, and eliminates each
+eliminable trihedron of the built graph on its own (`eliminate_trihedron`).
+Every graph, built, reduced and singly eliminated, is written as a canonical
+JSON document, and each word's verdict
+`isotopic(reduce(g), reduce(g, random.Random(3)))` is kept.
 
 The report gives how many documents differ byte for byte, how many still
 differ once the float fields (vertex z and t, edge dz and dt) are removed,
 how many verdicts differ, and the largest change of each float field with
-the number of records it moved in.  The exit status is 1 on a structural or
-verdict difference and 0 otherwise, so a change that only moves float bits
-passes.  Bytecode writing is off in the children: the script writes
-nothing into either checkout.
+the number of records it moved in; a word whose two sides eliminate a
+different number of trihedra counts all its documents as structural
+differences.  The exit status is 1 on a structural or verdict difference
+and 0 otherwise, so a change that only moves float bits passes.  Bytecode
+writing is off in the children: the script writes nothing into either
+checkout.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ from pathlib import Path
 SIDES = ("parent", "change")
 FLOATS = {"vertices": ("z", "t"), "edges": ("dz", "dt")}
 
-# one JSON line per word: its letters, its three documents and its verdict
+# one JSON line per word: its letters, its documents (built, the two
+# reductions, then one per eliminable trihedron) and its verdict
 CHILD = """
 import json, random, sys
 checkout, seed, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 sys.path[:0] = [checkout + "/src", checkout + "/tests"]
 from helpers import golden_words, wide_words
+from braidtrace.equivalence import eliminate_trihedron, find_embedded_trihedra, is_eliminable
 from braidtrace.equivalence import isotopic, reduce
 from braidtrace.serialize import canonical_json, graph_to_document
 from braidtrace.tracegraph import build_trace_graph
@@ -50,7 +56,8 @@ for _ in range(count):
 for w in words:
     g = build_trace_graph(w)
     a, b = reduce(g), reduce(g, random.Random(3))
-    docs = [canonical_json(graph_to_document(x)) for x in (g, a, b)]
+    singles = [eliminate_trihedron(g, t) for t in find_embedded_trihedra(g) if is_eliminable(g, t)]
+    docs = [canonical_json(graph_to_document(x)) for x in (g, a, b, *singles)]
     print(json.dumps({"word": [w.n, w.letters], "docs": docs, "isotopic": bool(isotopic(a, b))}))
 """
 
@@ -91,8 +98,8 @@ def main(argv=None) -> int:
                 p, c = json.loads(line_p), json.loads(line_c)
                 words += 1
                 verdict_diff += p["isotopic"] != c["isotopic"]
-                if p["word"] != c["word"]:
-                    struct_diff += len(p["docs"])
+                if p["word"] != c["word"] or len(p["docs"]) != len(c["docs"]):
+                    struct_diff += max(len(p["docs"]), len(c["docs"]))
                     continue
                 for text_p, text_c in zip(p["docs"], c["docs"], strict=True):
                     docs += 1
@@ -111,7 +118,8 @@ def main(argv=None) -> int:
                                 moved[f] += change > 0
                                 records[f] += 1
 
-    print(f"{words} words, {docs} documents (built, reduced, reduced with random.Random(3))")
+    print(f"{words} words, {docs} documents (built, reduced, reduced with random.Random(3),"
+          " and each single elimination of the built graph)")
     print(f"documents that differ byte for byte: {byte_diff}")
     print(f"documents that differ once z, t, dz and dt are removed: {struct_diff}")
     print(f"isotopic(reduce(g), reduce(g, random.Random(3))) verdicts that differ: {verdict_diff}")

@@ -388,10 +388,13 @@ class NotEliminable(ValueError):
     pass
 
 
-def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int, int]]:
+def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int]]:
     """Check that eliminating t is the inverse of a trihedral move; returns
-    (edge, predecessor, successor, position on its circle) per connecting
-    edge.  Every edge at t's two vertices is one of these.
+    (edge, predecessor, successor) per connecting edge, in `t.edges` order.
+    The three predecessors are all of the bottom vertex's `below`, the three
+    successors all of the top vertex's `above`, so every edge at t's two
+    vertices is in the plan.  Each arc's neighbours on its circle are read
+    from the rotation data by the continuation rule (`TraceVertex`).
 
     A move creates two vertices joined by three short parallel arcs, so a
     removable trihedron must be contractible (any two of its edges cobound
@@ -406,6 +409,8 @@ def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int
     e0, e1, e2 = (g.edges[e] for e in t.edges)
     if not (e0.tail == e1.tail == e2.tail and e0.head == e1.head == e2.head):
         raise NotEliminable("trihedron arcs must run jointly from one vertex to the other")
+    if e0.tail == e0.head or {e0.tail, e0.head} != set(t.vertices):
+        raise NotEliminable("edge does not join the trihedron vertices")
     for a, b in ((e0, e1), (e0, e2), (e1, e2)):
         if abs(a.dz - b.dz) > 1e-6 or abs(a.dt - b.dt) > 1e-6:
             raise NotEliminable("trihedron edges do not cobound discs")
@@ -417,35 +422,18 @@ def _validate_trihedron(g: TraceGraph, t: Trihedron) -> list[tuple[int, int, int
         raise NotEliminable("rotation data inconsistent: arcs do not fill one side")
     if bottom.above != top.below:
         raise NotEliminable("rotation data inconsistent: arrival order differs")
-    v1, v2 = t.vertices
     plan = []
-    outside = set()
     for eid in t.edges:
-        e = g.edges[eid]
-        if {e.tail, e.head} != {v1, v2}:
-            raise NotEliminable("edge does not join the trihedron vertices")
-        c = g.circles[e.circle]
-        k = c.edges.index(eid)
-        K = len(c.edges)
-        pred = c.edges[(k - 1) % K]
-        succ = c.edges[(k + 1) % K]
-        if pred in t.edges or succ in t.edges:
-            raise NotEliminable("circle enters the trihedron twice")
+        j = bottom.above.index(eid)
+        pred, succ = bottom.below[2 - j], top.above[2 - j]
         ep, es = g.edges[pred], g.edges[succ]
         if ep.level != es.level:
             raise NotEliminable(
-                f"outside levels disagree on circle {c.id}: {ep.level} vs {es.level}"
+                f"outside levels disagree on circle {g.edges[eid].circle}: {ep.level} vs {es.level}"
             )
-        if pred != succ and (ep.tail in (v1, v2) or es.head in (v1, v2)):
+        if pred != succ and (ep.tail in t.vertices or es.head in t.vertices):
             raise NotEliminable("outside edge folds back into the trihedron")
-        outside.update((pred, succ))
-        plan.append((eid, pred, succ, k))
-    incident = set()
-    for vid in (v1, v2):
-        incident.update(g.vertices[vid].below)
-        incident.update(g.vertices[vid].above)
-    if not incident <= set(t.edges) | outside:
-        raise NotEliminable("a further parallel edge would dangle")
+        plan.append((eid, pred, succ))
     return plan
 
 
@@ -470,7 +458,7 @@ def eliminate_trihedron(g: TraceGraph, t: Trihedron) -> TraceGraph:
 
 
 def _eliminate_inplace(
-    g: TraceGraph, t: Trihedron, plan: list[tuple[int, int, int, int]], last_id: int
+    g: TraceGraph, t: Trihedron, plan: list[tuple[int, int, int]], last_id: int
 ) -> None:
     """Eliminate trihedron t in place along `plan`, the list that
     `_validate_trihedron` returned for t on g: the caller validates, once.
@@ -495,7 +483,7 @@ def _eliminate_inplace(
     """
     v1, v2 = t.vertices
     new_id = last_id
-    for eid, pred, succ, k in plan:
+    for eid, pred, succ in plan:
         e = g.edges[eid]
         c = g.circles[e.circle]
         ep, es = g.edges[pred], g.edges[succ]
@@ -530,6 +518,7 @@ def _eliminate_inplace(
             del g.edges[eid], g.edges[pred], g.edges[succ]
             # keep cyclic order: the merged edge takes pred's position
             ordered = list(c.edges)
+            k = ordered.index(eid)
             K = len(ordered)
             ordered[(k - 1) % K] = new_id
             for x in sorted((k, (k + 1) % K), reverse=True):
@@ -609,7 +598,7 @@ def reduce(
         if chosen is None:
             break
         t, plan = chosen
-        dead = {frozenset((work.edges[x].tail, work.edges[x].head)) for r in plan for x in r[:3]}
+        dead = {frozenset((work.edges[x].tail, work.edges[x].head)) for r in plan for x in r}
         _eliminate_inplace(work, t, plan, last_id)
         for key in dead:
             del pair_edges[key]

@@ -164,19 +164,16 @@ def brute_counts(graph) -> CountReport:
     """Re-traverse a trace graph from raw incidence data only and compare the
     counts against the closed formulas.
 
-    Straight-through continuation at a vertex is recovered from the stored
-    rotation data: the i-th lower end in slope order continues as the i-th
-    upper end in slope order, without consulting the graph's own circle ids.
+    Each edge's successor is read from the stored rotation data by the
+    continuation rule of `TraceVertex`, without consulting the graph's own
+    circle ids.
     """
     w = graph.word
-    # continuation map on (edge, endpoint) flags
     succ: dict[int, int] = {}
     for v in graph.vertices.values():
-        below = v.below  # edge ids, increasing local t below = decreasing slope
-        above = v.above  # edge ids, increasing local t above = increasing slope
-        assert len(below) == 3 and len(above) == 3
+        assert len(v.below) == 3 and len(v.above) == 3
         for i in range(3):
-            succ[below[i]] = above[2 - i]
+            succ[v.below[i]] = v.above[2 - i]
     visited: set[int] = set()
     circles = 0
     per_circle = []

@@ -23,7 +23,16 @@ the word's range, or a coordinate or displacement out of bounds: z in
 [0, 1], t in [0, 2*pi] (both widened by 1e-9 for the 12-digit rounding),
 |dz| <= n^2 and |dt| <= 2*pi*n^2*(l + 1) for a word of length l.  Built and
 reduced graphs stay well inside; a larger displacement would only slow or
-overflow the isotopy decision.
+overflow the isotopy decision.  It is refused too when its incidence,
+rotation data and circles disagree, as reduction and the isotopy decision
+read each from the others: a vertex whose `below` or `above` does not list
+three distinct edges, or lists one whose head (below) or tail (above) is
+another vertex; an edge with ends missing from its tail's `above` or its
+head's `below`; an edge in no circle's edges, in two, or in one other than
+its own circle's; a circle with no edges, or a vertex-free one with more
+than one; or a circle whose consecutive edges (cyclically) break the
+continuation rule of `TraceVertex`.  An edge may run from a vertex to
+itself, and then sits in both of its lists.
 """
 
 from __future__ import annotations
@@ -271,6 +280,7 @@ def document_to_graph(doc: dict) -> TraceGraph:
     ]
     pass_circle = _int_map(doc["pass_circle"], "pass_circle", _PAIR_KEY)
     _check_references(vertices, edges, circles, partners, pass_circle)
+    _check_incidence(vertices, edges, circles)
     for c in circles.values():
         _check_marking(c, cycles.lengths)
     return TraceGraph(
@@ -308,6 +318,43 @@ def _check_references(vertices, edges, circles, partners, pass_circle) -> None:
     for pair, cid in pass_circle.items():
         if cid not in circles:
             raise SchemaError(f"pass_circle {pair} references missing circle {cid}")
+
+
+def _check_incidence(vertices, edges, circles) -> None:
+    """Raise SchemaError naming the first record whose incidence, rotation
+    data and circle edges disagree.  Every reference resolves
+    (`_check_references`)."""
+    for v in vertices.values():
+        for side, end in (("below", "head"), ("above", "tail")):
+            ids = getattr(v, side)
+            if len(ids) != 3 or len(set(ids)) != 3:
+                raise SchemaError(f"vertex {v.id}: {side} must list three distinct edges")
+            for x in ids:
+                if getattr(edges[x], end) != v.id:
+                    raise SchemaError(f"vertex {v.id}: {side} edge {x} has another {end}")
+    home = {}
+    for c in circles.values():
+        for x in c.edges:
+            if x in home:
+                raise SchemaError(f"edge {x} lies in circles {home[x]} and {c.id}")
+            home[x] = c.id
+    for e in edges.values():
+        if e.tail is not None and (e.id not in vertices[e.tail].above
+                                   or e.id not in vertices[e.head].below):
+            raise SchemaError(f"edge {e.id} is missing from its tail's above or its head's below")
+        if e.id not in home:
+            raise SchemaError(f"edge {e.id} lies in no circle's edges")
+        if home[e.id] != e.circle:
+            raise SchemaError(f"edge {e.id} lies in circle {home[e.id]}, not its circle {e.circle}")
+    for c in circles.values():
+        if not c.edges:
+            raise SchemaError(f"circle {c.id} has no edges")
+        if len(c.edges) > 1 and any(edges[x].tail is None for x in c.edges):
+            raise SchemaError(f"circle {c.id}: a vertex-free circle holds exactly one edge")
+        for x, nxt in zip(c.edges, c.edges[1:] + c.edges[:1]):
+            v = vertices.get(edges[x].head)  # the continuation rule of `TraceVertex`
+            if v is not None and nxt != v.above[2 - v.below.index(x)]:
+                raise SchemaError(f"circle {c.id}: edge {nxt} does not continue edge {x}")
 
 
 def _check_marking(c: TraceCircle, lengths: tuple[int, ...]) -> None:

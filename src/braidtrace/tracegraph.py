@@ -108,6 +108,15 @@ class Marking(NamedTuple):
 
 @dataclass
 class TraceVertex:
+    """A triple vertex and its rotation data.
+
+    Continuation rule: a circle runs straight through a vertex, so the edge
+    that enters as `below[i]` leaves on the same circle as `above[2 - i]`
+    (local t order reverses across the vertex).  A circle's
+    `TraceCircle.edges` is the walk by this rule from its base edge,
+    `edges[0]`.
+    """
+
     id: int
     z: float
     t: float

@@ -29,7 +29,8 @@ checked against the forms that read every level, every pair's track
 positions and every letter afresh.  Reduction is checked against its
 earlier form, which took each removed edge out of the pair index in turn,
 ordered pairs by their rounded vertex coordinates and levelled the loops
-it closed in a pass after the loop.  The one-pass linking table is checked
+it closed in a pass after the loop, and trihedron validation against its
+earlier form, which read each arc's neighbours from its circle's edges.  The one-pass linking table is checked
 against a walk of the word per component pair, and the gated 3-braid
 decision against the decision that reads the profile under every
 relabeling.
@@ -1210,9 +1211,7 @@ def reference_reduce(g, rng=None):
     the removed (edge, tail, head) triples and the spliced ids, and each
     removed edge was taken out of its group one at a time (`unregister`),
     hot pairs were sorted by their least rounded (z, t), and the loops it
-    closed took their levels after the loop (`_level_closed_loops`).
-    Plan rows carry a fourth field, the edge's position, which this copy
-    ignores: it searches the circle's edge tuple instead."""
+    closed took their levels after the loop (`_level_closed_loops`)."""
     original = g.num_vertices
     work = g.copy()
 
@@ -1308,6 +1307,64 @@ def _level_closed_loops(g) -> None:
             g.edges[e.id] = replace(e, level=level)
 
 
+def reference_validate_trihedron(g, t):
+    """`equivalence._validate_trihedron` as it read each arc's neighbours
+    from its circle's edge tuple: returns (edge, predecessor, successor)
+    per connecting edge, or raises NotEliminable, checking its lookup by
+    refusing a circle that enters the trihedron twice and a further edge
+    at the two vertices."""
+    NotEliminable = eq.NotEliminable
+    if len(t.edges) != 3:
+        raise NotEliminable("a trihedron has exactly three edges")
+    circles = {g.edges[e].circle for e in t.edges}
+    if len(circles) != 3:
+        raise NotEliminable("trihedron edges must lie on three distinct circles")
+    e0, e1, e2 = (g.edges[e] for e in t.edges)
+    if not (e0.tail == e1.tail == e2.tail and e0.head == e1.head == e2.head):
+        raise NotEliminable("trihedron arcs must run jointly from one vertex to the other")
+    for a, b in ((e0, e1), (e0, e2), (e1, e2)):
+        if abs(a.dz - b.dz) > 1e-6 or abs(a.dt - b.dt) > 1e-6:
+            raise NotEliminable("trihedron edges do not cobound discs")
+    if e0.level == e1.level == e2.level:
+        raise NotEliminable("trihedron arcs all carry one level")
+    bottom = g.vertices[e0.tail]
+    top = g.vertices[e0.head]
+    if set(bottom.above) != set(t.edges) or set(top.below) != set(t.edges):
+        raise NotEliminable("rotation data inconsistent: arcs do not fill one side")
+    if bottom.above != top.below:
+        raise NotEliminable("rotation data inconsistent: arrival order differs")
+    v1, v2 = t.vertices
+    plan = []
+    outside = set()
+    for eid in t.edges:
+        e = g.edges[eid]
+        if {e.tail, e.head} != {v1, v2}:
+            raise NotEliminable("edge does not join the trihedron vertices")
+        c = g.circles[e.circle]
+        k = c.edges.index(eid)
+        K = len(c.edges)
+        pred = c.edges[(k - 1) % K]
+        succ = c.edges[(k + 1) % K]
+        if pred in t.edges or succ in t.edges:
+            raise NotEliminable("circle enters the trihedron twice")
+        ep, es = g.edges[pred], g.edges[succ]
+        if ep.level != es.level:
+            raise NotEliminable(
+                f"outside levels disagree on circle {c.id}: {ep.level} vs {es.level}"
+            )
+        if pred != succ and (ep.tail in (v1, v2) or es.head in (v1, v2)):
+            raise NotEliminable("outside edge folds back into the trihedron")
+        outside.update((pred, succ))
+        plan.append((eid, pred, succ))
+    incident = set()
+    for vid in (v1, v2):
+        incident.update(g.vertices[vid].below)
+        incident.update(g.vertices[vid].above)
+    if not incident <= set(t.edges) | outside:
+        raise NotEliminable("a further parallel edge would dangle")
+    return plan
+
+
 def _reference_eliminate_inplace(g, t, plan, last_id: int):
     """The splice of `reference_reduce`: `_eliminate_inplace` as it returned
     the removed (edge, tail, head) triples and the ids of the spliced edges."""
@@ -1315,7 +1372,7 @@ def _reference_eliminate_inplace(g, t, plan, last_id: int):
     added: list[int] = []
     v1, v2 = t.vertices
     new_id = last_id
-    for eid, pred, succ, _ in plan:
+    for eid, pred, succ in plan:
         e = g.edges[eid]
         c = g.circles[e.circle]
         ep, es = g.edges[pred], g.edges[succ]

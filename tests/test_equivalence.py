@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import pytest
 from helpers import (
+    _level_closed_loops,
+    _reference_eliminate_inplace,
     golden_words,
     invariant_screen,
     isotopy_by_full_product,
     pure_word_of_length,
     reference_reduce,
     reference_trace_code,
+    reference_validate_trihedron,
     wide_words,
 )
 
@@ -18,7 +21,7 @@ from braidtrace import levels as lv
 from braidtrace import oracle
 from braidtrace.checks import run_structure_checks
 from braidtrace.serialize import canonical_json, graph_to_document
-from braidtrace.tracegraph import build_trace_graph
+from braidtrace.tracegraph import build_trace_graph, pair_partners
 from braidtrace.words import (
     BraidWord,
     concatenate,
@@ -280,6 +283,12 @@ class TestTrihedra:
             assert {m1[0], m1[2]} == {m2[0], m2[2]}
 
 
+def _records(g):
+    """Every record of g and its t+pi pairing: the fields a document holds."""
+    return (g.vertices, g.edges, g.circles, g.vertex_partner, g.edge_partner,
+            g.circle_partner, g.pass_circle)
+
+
 class TestEliminate:
     def test_removal_arithmetic(self, borromean_graphs):
         _, g2 = borromean_graphs
@@ -332,6 +341,46 @@ class TestEliminate:
         h = eq.eliminate_trihedron(h, t)
         assert set(h.vertex_partner) == set(h.vertices) == {2, 3}
         assert set(h.edge_partner) == set(h.edges)
+
+    def test_validation_matches_the_circle_reading(self):
+        # the rotation data gives each arc the neighbours its circle's edge
+        # tuple gives; walk from each golden and wide word by eliminating
+        # the first eliminable trihedron, and compare on every trihedron of
+        # every graph reached; the reference splice levels closed loops
+        # after it, as reduction once did, and its records must be equal
+        # exactly, which gives equal documents
+        graphs = trihedra = eliminable = 0
+        for w in golden_words() + wide_words():
+            g = build_trace_graph(w)
+            while g is not None:
+                graphs += 1
+                first = None
+                for t in eq.find_embedded_trihedra(g):
+                    trihedra += 1
+                    try:
+                        want = reference_validate_trihedron(g, t)
+                    except eq.NotEliminable:
+                        want = None
+                    try:
+                        got = eq._validate_trihedron(g, t)
+                    except eq.NotEliminable:
+                        got = None
+                    assert got == want, (w, t)
+                    if got is None:
+                        continue
+                    eliminable += 1
+                    v1, v2 = (g.vertices[v] for v in t.vertices)
+                    at_ends = {*v1.below, *v1.above, *v2.below, *v2.above}
+                    assert at_ends == {x for row in got for x in row}, (w, t)
+                    h = eq.eliminate_trihedron(g, t)
+                    ref = g.copy()
+                    _reference_eliminate_inplace(ref, t, want, max(g.edges))
+                    _level_closed_loops(ref)
+                    pair_partners(ref)
+                    assert _records(h) == _records(ref), (w, t)
+                    first = first or h
+                g = first
+        assert (graphs, trihedra, eliminable) == (243, 1395, 520)
 
     def test_not_eliminable_raises(self):
         g = build_trace_graph(parse_word("s1 s2^-1", 3))

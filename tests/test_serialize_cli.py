@@ -276,13 +276,18 @@ class TestDocuments:
             read_word_at(loaded, 0.0)
 
     def test_built_and_reduced_documents_load(self):
-        # the coordinate and displacement bounds leave room for real graphs
+        # the coordinate and displacement bounds leave room for real graphs,
+        # and the incidence checks for an edge that runs from a vertex to
+        # itself, and so sits in both of that vertex's lists
+        self_loops = 0
         for w in golden_words() + wide_words():
             g = build_trace_graph(w)
             for h in (g, eq.reduce(g)):
                 text = canonical_json(graph_to_document(h))
                 loaded = document_to_graph(json.loads(text))
                 assert canonical_json(graph_to_document(loaded)) == text, w
+                self_loops += any(e.tail == e.head is not None for e in h.edges.values())
+        assert self_loops
 
     def test_golden_bytes(self):
         h = hashlib.sha256()
@@ -316,6 +321,90 @@ class TestDocuments:
                 assert labels == [str(c.dt_winding) for c in loops], w
                 turning += sum(c.dt_winding != 0 for c in loops)
         assert turning
+
+
+def _tampered(text: str, n: int, change):
+    """The document of the built word, changed in place by change."""
+    doc = graph_to_document(build_trace_graph(parse_word(text, n) if text else BraidWord(n)))
+    change(doc)
+    return doc
+
+
+def _swap_first_two(doc):
+    c = doc["circles"][0]["edges"]
+    c[0], c[1] = c[1], c[0]
+
+
+def _swap_first(side: str):
+    """Swap the first edges of side ("below" or "above") of vertices 0 and 1."""
+    def change(doc):
+        a, b = doc["vertices"][0][side], doc["vertices"][1][side]
+        a[0], b[0] = b[0], a[0]
+    return change
+
+
+def _extra_edge(doc):
+    doc["edges"].append({**doc["edges"][0], "id": 999})
+    doc["circles"][0]["edges"].append(999)
+
+
+def _move_loop(source: int, target: int):
+    """Move circle source's edge into circle target's edges."""
+    def change(doc):
+        (eid,) = doc["circles"][source]["edges"]
+        doc["circles"][source]["edges"] = []
+        doc["circles"][target]["edges"].append(eid)
+        doc["edges"][eid]["circle"] = target
+    return change
+
+
+class TestIncidence:
+    """The loader refuses documents whose incidence, rotation data and
+    circle edges disagree."""
+
+    # in B4 s1 s2^-1 s3 s2 s1, circle 0 runs through edges 0..9 and circle 1
+    # through 10..19
+    WORD = ("s1 s2^-1 s3 s2 s1", 4)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            # each of these three once loaded: isotopic(h, h) raised a bare
+            # KeyError (1, then 9) and isotopic(h, g) answered False
+            (_put(1, "edges", 0, "circle"), "edge 0 lies in circle 0, not its circle 1"),
+            (_put(list(range(9)), "circles", 0, "edges"), "edge 9 lies in no circle's edges"),
+            (_swap_first_two, "circle 0: edge 0 does not continue edge 1"),
+            (_put([0, 0, 1], "vertices", 0, "below"), "vertex 0: below must list three distinct"),
+            (_put([0, 1], "vertices", 0, "above"), "vertex 0: above must list three distinct"),
+            (_swap_first("below"), r"vertex 0: below edge \d+ has another head"),
+            (_swap_first("above"), r"vertex 0: above edge \d+ has another tail"),
+            (_extra_edge, "edge 999 is missing from its tail's above or its head's below"),
+            (_put(list(range(10, 20)) + [0], "circles", 1, "edges"),
+             "edge 0 lies in circles 0 and 1"),
+        ],
+        ids=[
+            "edge-circle", "dropped-edge", "swapped-edges", "repeated-below", "short-above",
+            "below-head", "above-tail", "unlisted-edge", "two-circles",
+        ],
+    )
+    def test_disagreement_refused(self, change, message):
+        doc = _tampered(*self.WORD, change)
+        with pytest.raises(SchemaError, match=message):
+            document_to_graph(doc)
+
+    def test_circles_of_loops(self):
+        # the empty B3 word has six vertex-free circles, circle c holding edge c
+        with pytest.raises(SchemaError, match="circle 0: a vertex-free circle holds exactly"):
+            document_to_graph(_tampered("", 3, _move_loop(5, 0)))
+        with pytest.raises(SchemaError, match="circle 0 has no edges"):
+            document_to_graph(_tampered("", 3, _move_loop(0, 5)))
+
+    def test_compare_names_the_record(self, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(_tampered(*self.WORD, _put(1, "edges", 0, "circle"))))
+        r = run_cli("compare", str(a), str(a))
+        assert r.returncode == 2
+        assert "edge 0 lies in circle 0, not its circle 1" in r.stderr
 
 
 class TestWriter:
